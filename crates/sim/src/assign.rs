@@ -209,6 +209,47 @@ impl Mission {
     }
 }
 
+/// Deterministic route-work counters of the auction's path searches,
+/// read through [`Simulation::route_work`](crate::Simulation::route_work).
+/// They are a pure function of the run (assignment is single-threaded),
+/// so they repeat exactly at any repair thread count — a regression
+/// tripwire for search work. They are never rendered in
+/// [`SimReport::to_json`](crate::SimReport::to_json), so goldens do not
+/// depend on them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteWork {
+    /// Forward field-directed searches run: leg transitions, reroutes,
+    /// rebalance routes, and bidders standing on a closed cell.
+    pub forward_searches: u64,
+    /// Vertices those forward searches expanded.
+    pub forward_expanded: u64,
+    /// Reverse site fields started (at most one per auctioned task).
+    pub site_fields: u64,
+    /// Vertices the site fields expanded, over all bidders they served.
+    pub site_expanded: u64,
+    /// Routes refused for exceeding the route cap: a forward route longer
+    /// than the cap, or a bidder a cap-truncated site field never reached.
+    pub cap_rejections: u64,
+}
+
+/// A lazily expanded reverse field into one pickup site, shared by every
+/// bidder of one auction slate (see [`AuctionState::site_route`]). It
+/// lives on the probe scratch, which is free once the slate is built.
+#[derive(Debug)]
+pub(crate) struct SiteField {
+    site: VertexId,
+    /// Start of the unexpanded suffix of `probe_touched`; `None` until
+    /// the first bidder that needs the field seeds it.
+    head: Option<usize>,
+}
+
+impl SiteField {
+    /// An unseeded field into `site`.
+    pub(crate) fn new(site: VertexId) -> Self {
+        SiteField { site, head: None }
+    }
+}
+
 /// A read-only view of the engine's corridor closures for route
 /// searches: per-vertex first-open tick plus the current tick. A
 /// default (empty) view closes nothing, so fault-free callers and tests
@@ -319,9 +360,12 @@ pub(crate) struct AuctionState {
     parent: Vec<u32>,
     epoch: u32,
     frontier: VecDeque<u32>,
-    // Scratch for the bounded idle-neighbourhood probes.
+    // Scratch for the bounded idle-neighbourhood probes, reused by the
+    // reverse site field once a task's bid slate is built.
     pub probe_dist: Vec<u32>,
     pub probe_touched: Vec<u32>,
+    /// Route-work counters (never rendered in reports).
+    pub work: RouteWork,
 }
 
 impl AuctionState {
@@ -420,6 +464,7 @@ impl AuctionState {
             frontier: VecDeque::new(),
             probe_dist: Vec::new(),
             probe_touched: Vec::new(),
+            work: RouteWork::default(),
         }
     }
 
@@ -539,7 +584,9 @@ impl AuctionState {
         self.frontier.clear();
         self.seen[from.index()] = epoch;
         self.frontier.push_back(from.0);
+        self.work.forward_searches += 1;
         while let Some(u) = self.frontier.pop_front() {
+            self.work.forward_expanded += 1;
             let u = VertexId(u);
             for &v in graph.neighbors(u) {
                 if self.seen[v.index()] == epoch
@@ -565,6 +612,132 @@ impl AuctionState {
             }
         }
         None
+    }
+
+    /// [`route`](Self::route) without a ban, refusing (and counting as a
+    /// cap rejection) any route longer than `cap` cells.
+    pub(crate) fn route_capped(
+        &mut self,
+        graph: &FloorplanGraph,
+        from: VertexId,
+        to: VertexId,
+        cap: u32,
+        closed: ClosedSet<'_>,
+    ) -> Option<Vec<VertexId>> {
+        let path = self.route(graph, from, to, None, closed)?;
+        if path.len() > cap as usize {
+            self.work.cap_rejections += 1;
+            return None;
+        }
+        Some(path)
+    }
+
+    /// The route from `from` to `field`'s site, exactly
+    /// [`route_capped`](Self::route_capped)`(from, site, cap)`, served from
+    /// one reverse field per site instead of one forward search per
+    /// bidder.
+    ///
+    /// The field is a field-directed BFS *into* the site (edges `w -> u`
+    /// that [`edge_allowed`](Self::edge_allowed) permits, never entering
+    /// a closed cell; a closed site has no field). It lives on the probe
+    /// scratch in the touched-list/cursor style of
+    /// [`FloorplanGraph::bfs_bounded_begin`], is seeded by the first
+    /// bidder that needs it, and expands only until the bidder's cell is
+    /// labelled or the depth reaches `cap - 1` — so later bidders of the
+    /// same slate are mostly O(1) lookups, and a bidder beyond the cap
+    /// costs at most a cap-sized ball, not a floor-wide search.
+    ///
+    /// The path walks downhill from `from`, taking at each cell the first
+    /// neighbour in CSR order whose edge is allowed and whose distance is
+    /// one lower. That is the lexicographically first shortest path by
+    /// CSR neighbour position — the same path `route`'s BFS parent
+    /// pointers give. A bidder on a closed cell (inside a closing
+    /// corridor, routing out of it) is outside the field and falls back
+    /// to the forward search.
+    pub(crate) fn site_route(
+        &mut self,
+        graph: &FloorplanGraph,
+        field: &mut SiteField,
+        from: VertexId,
+        cap: u32,
+        closed: ClosedSet<'_>,
+    ) -> Option<Vec<VertexId>> {
+        if cap == 0 {
+            self.work.cap_rejections += 1;
+            return None;
+        }
+        if from == field.site {
+            return Some(vec![from]);
+        }
+        if closed.blocks(field.site) {
+            // No route enters a closed site: the field would be empty.
+            return None;
+        }
+        if closed.blocks(from) {
+            return self.route_capped(graph, from, field.site, cap, closed);
+        }
+        let mut head = *field.head.get_or_insert_with(|| {
+            // A depth-0 bounded BFS clears the probe's touched entries
+            // and seeds the site, expanding nothing.
+            let _ = graph.bfs_bounded_begin(
+                field.site,
+                0,
+                &mut self.probe_dist,
+                &mut self.probe_touched,
+            );
+            self.work.site_fields += 1;
+            0
+        });
+        // Cells at depth `cap - 1` end paths of exactly `cap` cells; their
+        // predecessors would not fit.
+        let limit = cap - 1;
+        while head < self.probe_touched.len() && self.probe_dist[from.index()] == u32::MAX {
+            let u = VertexId(self.probe_touched[head]);
+            let d = self.probe_dist[u.index()];
+            if d >= limit {
+                break;
+            }
+            head += 1;
+            self.work.site_expanded += 1;
+            for &w in graph.neighbors(u) {
+                if self.probe_dist[w.index()] == u32::MAX
+                    && !closed.blocks(w)
+                    && self.edge_allowed(graph, w, u)
+                {
+                    self.probe_dist[w.index()] = d + 1;
+                    self.probe_touched.push(w.0);
+                }
+            }
+        }
+        field.head = Some(head);
+
+        let mut d = self.probe_dist[from.index()];
+        if d == u32::MAX {
+            // Unreached: either the field ran dry (no route at all) or it
+            // stopped at the cap with cells still to expand.
+            if head < self.probe_touched.len() {
+                self.work.cap_rejections += 1;
+            }
+            return None;
+        }
+        // Every cell nearer the site than `from` is labelled (the BFS
+        // finished those levels before labelling `from`), so the descent
+        // always finds its next cell.
+        let mut path = Vec::with_capacity(d as usize + 1);
+        let mut cur = from;
+        path.push(cur);
+        while d > 0 {
+            d -= 1;
+            cur = graph
+                .neighbors(cur)
+                .iter()
+                .copied()
+                .find(|&w| self.probe_dist[w.index()] == d && self.edge_allowed(graph, cur, w))
+                .expect("a labelled cell has a downhill neighbour");
+            path.push(cur);
+        }
+        debug_assert_eq!(cur, field.site, "site-field descent ends at the site");
+        Some(path)
     }
 
     /// A drift walk out of `from`: one field-allowed step (preferring an
@@ -813,6 +986,83 @@ mod tests {
                 if let Some((_, s)) = expect_first {
                     auc.reserved.remove_units(s, product, 1);
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every site-field route is exactly the capped forward route it
+        /// replaced, `route(from, site).filter(|p| p.len() <= cap)`, on
+        /// small scaled-warehouse and sorting-center floors under random
+        /// closures (closed sites and closed bidders included), at caps
+        /// 0, 1, 2, small, 1 024 and unbounded, with many bidders — the
+        /// site itself among them — sharing one lazily expanded field,
+        /// and several slates in a row on the same (dirty) probe scratch.
+        #[test]
+        fn site_field_routes_equal_capped_forward_routes(
+            floor in 0u32..3,
+            map_seed in 0u64..50,
+            closed_raw in proptest::collection::vec(0u32..100_000, 0..24),
+            cap_pick in 0usize..6,
+            small_cap in 3u32..80,
+            slates in proptest::collection::vec(
+                (
+                    0u32..100_000,
+                    0u32..4,
+                    proptest::collection::vec(0u32..100_000, 1..24),
+                    0usize..24,
+                ),
+                1..4,
+            ),
+        ) {
+            let map = if floor == 2 {
+                wsp_maps::sorting_center().expect("sorting center builds")
+            } else {
+                wsp_maps::scaled_warehouse(5, 40, 3, map_seed).expect("small scaled map builds")
+            };
+            let warehouse = &map.warehouse;
+            let graph = warehouse.graph();
+            let n = graph.vertex_count() as u32;
+            let mut auc = AuctionState::new(warehouse, 8);
+            let cap = [0, 1, 2, small_cap, 1024, u32::MAX][cap_pick];
+
+            let closed_cells: Vec<u32> = closed_raw.iter().map(|&c| c % n).collect();
+            let mut until = vec![0u64; n as usize];
+            for &c in &closed_cells {
+                until[c as usize] = 5;
+            }
+            for &(site_raw, site_mode, ref bidders_raw, site_at) in &slates {
+                // Mode 0 closes the site; mode 1 puts a bidder on a closed
+                // cell; the rest draw freely.
+                let site = VertexId(site_raw % n);
+                let site_closed_before = until[site.index()];
+                if site_mode == 0 {
+                    until[site.index()] = 5;
+                }
+                let closed = ClosedSet { until: &until, t: 3 };
+                let mut bidders: Vec<VertexId> =
+                    bidders_raw.iter().map(|&b| VertexId(b % n)).collect();
+                if site_mode == 1 && !closed_cells.is_empty() {
+                    let c = closed_cells[site_raw as usize % closed_cells.len()];
+                    bidders[0] = VertexId(c);
+                }
+                bidders.insert(site_at % (bidders.len() + 1), site);
+
+                // Leave the probe scratch as the bid slate does: an
+                // undirected bounded BFS from the site.
+                let (dist, touched) = (&mut auc.probe_dist, &mut auc.probe_touched);
+                let _ = graph.bfs_bounded_begin(site, 32, dist, touched);
+                let mut field = SiteField::new(site);
+                for &from in &bidders {
+                    let expect = auc
+                        .route(graph, from, site, None, closed)
+                        .filter(|p| p.len() <= cap as usize);
+                    let got = auc.site_route(graph, &mut field, from, cap, closed);
+                    prop_assert_eq!(got, expect, "from {:?} to {:?} at cap {}", from, site, cap);
+                }
+                until[site.index()] = site_closed_before;
             }
         }
     }

@@ -86,7 +86,7 @@ use wsp_realize::AgentSnapshot;
 
 use crate::assign::{
     select_agent, AgentBid, AssignConfig, AssignPolicy, AuctionState, ClosedSet, Leg, LegAction,
-    Mission, MissionKind, PendingTask,
+    Mission, MissionKind, PendingTask, RouteWork, SiteField,
 };
 use crate::deviation::{
     DeviationConfig, DeviationSchedule, FaultConfig, FaultEvent, FaultSchedule, Stall, NEVER,
@@ -571,6 +571,15 @@ impl<'a> Simulation<'a> {
     /// (0 under the static policy) — for bench memory accounting.
     pub fn auction_cache_bytes(&self) -> usize {
         self.auction.as_deref().map_or(0, |a| a.fields.bytes())
+    }
+
+    /// Deterministic route-work counters of the auction's path searches
+    /// (all zero under the static policy). Never rendered in reports;
+    /// identical at every repair thread count.
+    pub fn route_work(&self) -> RouteWork {
+        self.auction
+            .as_deref()
+            .map_or_else(RouteWork::default, |a| a.work)
     }
 
     /// Test hook: force the assignment pass to run on every executed
@@ -1407,25 +1416,20 @@ impl<'a> Simulation<'a> {
             }
             // Auction order over the probed slate; a winner whose field
             // route is missing (rare: the field strongly connects these
-            // maps) or longer than the route cap (a pathological
-            // floor-width detour) falls through to the next-best bid.
+            // maps) or longer than the route cap (on one-way aisles, a
+            // bidder just downstream of the site) falls through to the
+            // next-best bid. Every bidder reads one reverse field from
+            // the site, expanded lazily up to the cap.
             let mut commit = None;
+            let mut field = SiteField::new(site);
             while let Some(bid) = select_agent(&self.bids) {
                 self.bids.retain(|b| b.agent != bid.agent);
                 let from = self.pos[bid.agent as usize];
-                if let Some(path) = auc
-                    .route(
-                        graph,
-                        from,
-                        site,
-                        None,
-                        ClosedSet {
-                            until: &self.closed_until,
-                            t,
-                        },
-                    )
-                    .filter(|p| p.len() <= cfg.route_cap as usize)
-                {
+                let closed = ClosedSet {
+                    until: &self.closed_until,
+                    t,
+                };
+                if let Some(path) = auc.site_route(graph, &mut field, from, cfg.route_cap, closed) {
                     commit = Some((bid.agent as usize, path));
                     break;
                 }
@@ -1740,6 +1744,7 @@ impl<'a> Simulation<'a> {
                                     m.wedged = false;
                                 }
                                 Some(_) => {
+                                    auc.work.cap_rejections += 1;
                                     // A detour this long means the direct
                                     // corridor is walled off by parked
                                     // agents; taking it would tour the
@@ -1769,19 +1774,16 @@ impl<'a> Simulation<'a> {
                     debug_assert_eq!(leg.goal, self.pos[a], "mission leg desync");
                     m.action = Some(leg.action);
                     if let Some(&Leg { goal, .. }) = m.legs.front() {
-                        match auc
-                            .route(
-                                graph,
-                                self.pos[a],
-                                goal,
-                                None,
-                                ClosedSet {
-                                    until: &self.closed_until,
-                                    t,
-                                },
-                            )
-                            .filter(|p| p.len() <= self.config.assign.route_cap as usize)
-                        {
+                        match auc.route_capped(
+                            graph,
+                            self.pos[a],
+                            goal,
+                            self.config.assign.route_cap,
+                            ClosedSet {
+                                until: &self.closed_until,
+                                t,
+                            },
+                        ) {
                             Some(path) => {
                                 m.path = path;
                                 m.at = 0;

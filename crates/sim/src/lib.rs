@@ -65,7 +65,7 @@ mod repair;
 mod report;
 mod stream;
 
-pub use assign::{select_agent, AgentBid, AssignConfig, AssignPolicy};
+pub use assign::{select_agent, AgentBid, AssignConfig, AssignPolicy, RouteWork};
 pub use cycles::direct_cycle_set;
 pub use deviation::{
     DeviationConfig, DeviationSchedule, FaultConfig, FaultEvent, FaultSchedule, Stall, NEVER,
@@ -84,6 +84,7 @@ const _: () = {
     assert_send_sync::<wsp_mapf::ReservationTable>();
     assert_send_sync::<AssignConfig>();
     assert_send_sync::<AssignPolicy>();
+    assert_send_sync::<RouteWork>();
     assert_send_sync::<SimConfig>();
     assert_send_sync::<FaultConfig>();
     assert_send_sync::<SimEngine>();

@@ -206,3 +206,49 @@ proptest! {
         prop_assert_eq!(&renderings[0], &renderings[2], "4 threads diverged from 1");
     }
 }
+
+/// The route-work counters (`Simulation::route_work`) are deterministic
+/// work counts: identical at 1, 2 and 4 repair threads, with the default
+/// route cap and with a tight one that forces cap rejections, and all
+/// zero under the static policy. Reports never render them.
+#[test]
+fn route_work_counters_are_thread_count_independent() {
+    let (instance, cycles, mix) = small_scenario(5);
+    for route_cap in [1024u32, 24] {
+        let mut works = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let mut config = auction_config(mix.clone(), 400, 7, 11, 16, threads);
+            config.assign.route_cap = route_cap;
+            let mut sim = Simulation::from_cycles(&instance, cycles.clone(), config).unwrap();
+            let report = sim.run().unwrap();
+            assert!(!report.to_json().contains("cap_rejections"));
+            works.push(sim.route_work());
+        }
+        assert_eq!(
+            works[0], works[1],
+            "2 threads diverged from 1 (cap {route_cap})"
+        );
+        assert_eq!(
+            works[0], works[2],
+            "4 threads diverged from 1 (cap {route_cap})"
+        );
+        let work = works[0];
+        assert!(work.site_fields > 0 && work.site_expanded > 0, "{work:?}");
+        assert!(
+            work.forward_searches > 0 && work.forward_expanded > 0,
+            "{work:?}"
+        );
+        if route_cap == 24 {
+            assert!(
+                work.cap_rejections > 0,
+                "a 24-cell cap must reject: {work:?}"
+            );
+        }
+    }
+
+    let mut config = auction_config(mix, 200, 7, 11, 16, 1);
+    config.assign.policy = AssignPolicy::Static;
+    let mut sim = Simulation::from_cycles(&instance, cycles, config).unwrap();
+    sim.run().unwrap();
+    assert_eq!(sim.route_work(), wsp_sim::RouteWork::default());
+}
