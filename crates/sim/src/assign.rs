@@ -69,21 +69,6 @@ pub enum AssignPolicy {
 pub struct AssignConfig {
     /// The policy (Static by default — existing configs are unchanged).
     pub policy: AssignPolicy,
-    /// Most tasks batched onto one agent per assignment (the first task
-    /// plus up to `batch - 1` queued same-product followers).
-    pub batch: usize,
-    /// Idle agents staged near each station by the rebalancer (`0`
-    /// disables rebalancing).
-    pub rebalance_per_station: usize,
-    /// Station-pressure weight: each already-assigned undelivered task at
-    /// a station adds this many BFS steps to its bid, spreading load.
-    pub station_bias: u32,
-    /// Ticks a mission agent stays blocked before nudging a parked
-    /// blocker into a drift walk.
-    pub yield_after: u32,
-    /// Ticks blocked before a task mission reroutes around the contested
-    /// cell (repositioning missions give up and park instead).
-    pub reroute_after: u32,
     /// Longest route (in cells, endpoints included) the auction will
     /// install. The parity field occasionally prices a `(agent, site)`
     /// pair at thousands of cells — a detour the whole width of the
@@ -100,11 +85,6 @@ impl Default for AssignConfig {
     fn default() -> Self {
         AssignConfig {
             policy: AssignPolicy::Static,
-            batch: 4,
-            rebalance_per_station: 2,
-            station_bias: 8,
-            yield_after: 2,
-            reroute_after: 8,
             route_cap: 1024,
         }
     }
@@ -192,6 +172,19 @@ pub(crate) struct Mission {
 }
 
 impl Mission {
+    /// A fresh mission at the start of `path`, with no action pending.
+    pub(crate) fn new(kind: MissionKind, path: Vec<VertexId>, legs: VecDeque<Leg>) -> Self {
+        Mission {
+            kind,
+            path,
+            at: 0,
+            legs,
+            action: None,
+            blocked: 0,
+            wedged: false,
+        }
+    }
+
     /// Whether assignment may replace this mission with a task mission
     /// (staging and drifting are best-effort; a pending carry action is
     /// not).
@@ -250,23 +243,31 @@ impl SiteField {
     }
 }
 
-/// A read-only view of the engine's corridor closures for route
-/// searches: per-vertex first-open tick plus the current tick. A
-/// default (empty) view closes nothing, so fault-free callers and tests
-/// pay only a bounds-checked load per expansion.
+/// A read-only view of one of the engine's fault tables: per-resource
+/// first-open tick plus the current tick. Route searches read the
+/// per-vertex corridor closures, the site pickers the per-station
+/// outages. A default (empty) view closes nothing, so fault-free callers
+/// and tests pay only a bounds-checked load per lookup.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ClosedSet<'c> {
-    /// `until[v]` is the first tick vertex `v` is open again.
+    /// `until[i]` is the first tick resource `i` is open again.
     pub until: &'c [u64],
     /// The current tick.
     pub t: u64,
 }
 
 impl ClosedSet<'_> {
-    /// Whether `v` is closed right now (never true for the empty view).
+    /// Whether resource `i` is closed right now (never true for the
+    /// empty view).
+    #[inline]
+    pub(crate) fn closed(&self, i: usize) -> bool {
+        self.until.get(i).is_some_and(|&u| self.t < u)
+    }
+
+    /// Whether vertex `v` is closed right now.
     #[inline]
     pub(crate) fn blocks(&self, v: VertexId) -> bool {
-        self.until.get(v.index()).is_some_and(|&u| self.t < u)
+        self.closed(v.index())
     }
 }
 
@@ -290,8 +291,8 @@ fn parity_allows(a: Coord, b: Coord) -> bool {
 }
 
 /// All mutable and precomputed state behind [`AssignPolicy::Auction`],
-/// boxed into the engine only when the policy is on — `Static` runs pay
-/// nothing.
+/// boxed into the engine's policy value only when the policy is on —
+/// `Static` runs pay nothing.
 #[derive(Debug)]
 pub(crate) struct AuctionState {
     /// Tasks awaiting assignment, in arrival order (arrivals are
@@ -308,11 +309,6 @@ pub(crate) struct AuctionState {
     /// Per station: idle agents staged at (or repositioning toward) its
     /// anchor.
     pub staged: Vec<u32>,
-    /// Per station: dark under an injected outage. Dark stations take no
-    /// new assignments (the pickers skip them, so pressure redistributes
-    /// through the usual `station_bias` term); queued tasks wait for the
-    /// outage to expire rather than vanish.
-    pub dark: Vec<bool>,
     /// Which station each agent is staged under, if any.
     pub staged_of: Vec<Option<u16>>,
     /// Per-agent current mission.
@@ -444,7 +440,6 @@ impl AuctionState {
             reserved: warehouse.location_matrix().clone(),
             open: vec![0; stations.len()],
             staged: vec![0; stations.len()],
-            dark: vec![false; stations.len()],
             staged_of: vec![None; agents],
             missions: (0..agents).map(|_| None).collect(),
             // Dirty at construction: the first executed tick runs one
@@ -484,16 +479,19 @@ impl AuctionState {
     /// order-independent. Per station this reads the first stocked
     /// entry of the cached ascending site list (amortized O(1); the
     /// pre-cache full scan is the oracle it is property-tested against).
-    /// Dark stations are skipped outright: an outage removes them from
-    /// the slate until it expires.
+    /// Stations `dark` (the engine's per-station outage table) marks
+    /// closed are skipped outright: an outage removes them from the slate
+    /// until it expires, and pressure redistributes through the bias
+    /// term; queued tasks wait rather than vanish.
     pub(crate) fn pick_station_site(
         &mut self,
         product: ProductId,
         bias: u32,
+        dark: ClosedSet<'_>,
     ) -> Option<(u16, VertexId)> {
         let mut best: Option<(u64, u16, VertexId)> = None;
         for q in 0..self.stations.len() {
-            if self.dark[q] {
+            if dark.closed(q) {
                 continue;
             }
             let Some((d, s)) = self.fields.first_stocked_in(q, product, &self.reserved) else {
@@ -516,12 +514,14 @@ impl AuctionState {
     /// out-distance alone exceeds the best total cost — the same pure
     /// `(cost, station, site)` minimum as a full scan (ties at the
     /// cutoff are still scanned: `d_out == best` can still win its
-    /// tie-break with a zero in-distance-plus-pressure term).
+    /// tie-break with a zero in-distance-plus-pressure term). Skips dark
+    /// stations like the first pick.
     pub(crate) fn pick_followup(
         &mut self,
         product: ProductId,
         from: u16,
         bias: u32,
+        dark: ClosedSet<'_>,
     ) -> Option<(u16, VertexId)> {
         let stations = self.stations.len();
         let tail = self
@@ -538,7 +538,7 @@ impl AuctionState {
                 continue;
             }
             for q in 0..stations {
-                if self.dark[q] {
+                if dark.closed(q) {
                     continue;
                 }
                 let d_in = self.to_station[q][e.site.index()];
@@ -977,10 +977,11 @@ mod tests {
                 let product = ProductId((raw_p % products) as u32);
                 let from = (raw_q % stations) as u16;
                 let expect_first = oracle_station_site(&auc, &sites, product, bias);
-                prop_assert_eq!(auc.pick_station_site(product, bias), expect_first);
+                let none_dark = ClosedSet::default();
+                prop_assert_eq!(auc.pick_station_site(product, bias, none_dark), expect_first);
                 let expect_follow =
                     oracle_followup(&auc, &from_station, &sites, product, from, bias);
-                prop_assert_eq!(auc.pick_followup(product, from, bias), expect_follow);
+                prop_assert_eq!(auc.pick_followup(product, from, bias, none_dark), expect_follow);
                 // Reserve one unit at the picked site, exactly like an
                 // assignment commit — the only way stock ever changes.
                 if let Some((_, s)) = expect_first {

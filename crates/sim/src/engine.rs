@@ -102,6 +102,58 @@ use crate::stream::{StreamConfig, TaskStream};
 /// it.
 const STRAY_REJOIN: usize = usize::MAX;
 
+// The auction's fixed tuning ([`crate::assign`] states the cost model).
+/// Most tasks batched onto one agent per assignment (the first task plus
+/// up to `BATCH - 1` queued same-product followers).
+const BATCH: usize = 4;
+/// Idle agents the rebalancer stages near each station.
+const REBALANCE_PER_STATION: u32 = 2;
+/// Station-pressure weight: each already-assigned undelivered task at a
+/// station adds this many BFS steps to its bid, spreading load.
+const STATION_BIAS: u32 = 8;
+/// Ticks a mission agent stays blocked before nudging a parked blocker
+/// into a drift walk.
+const YIELD_AFTER: u32 = 2;
+/// Ticks blocked before a task mission reroutes around the contested cell
+/// (repositioning missions give up and park instead).
+const REROUTE_AFTER: u32 = 8;
+
+/// The task-assignment policy's runtime state, built once from
+/// `config.assign.policy` and owned by the engine for its lifetime: every
+/// policy test reads this value, and phases borrow the auction state in
+/// place beside the engine's other fields.
+#[derive(Debug)]
+enum Dispatch {
+    /// [`AssignPolicy::Static`]: one FIFO of arrival ticks per product;
+    /// tasks attach to whichever agent's window plan executes a matching
+    /// pickup.
+    Static { queues: Vec<VecDeque<u64>> },
+    /// [`AssignPolicy::Auction`]: the pending queue, missions,
+    /// reservations and route scratch.
+    Auction(Box<AuctionState>),
+}
+
+impl Dispatch {
+    fn is_static(&self) -> bool {
+        matches!(self, Dispatch::Static { .. })
+    }
+
+    fn auction(&self) -> Option<&AuctionState> {
+        match self {
+            Dispatch::Static { .. } => None,
+            Dispatch::Auction(auc) => Some(auc),
+        }
+    }
+
+    /// Records that an assignment input changed, so the next auction pass
+    /// must really run. A no-op under Static.
+    fn mark_dirty(&mut self) {
+        if let Dispatch::Auction(auc) = self {
+            auc.dirty = true;
+        }
+    }
+}
+
 /// Configuration of the MAPF catch-up repair stage.
 #[derive(Debug, Clone)]
 pub struct RepairConfig {
@@ -304,9 +356,6 @@ pub struct Simulation<'a> {
     repair: Vec<Option<RepairPath>>,
     repair_cooldown_until: Vec<u64>,
 
-    // Task queues, one FIFO of arrival ticks per product.
-    queues: Vec<VecDeque<u64>>,
-
     // Dense per-vertex occupancy plus per-tick movement scratch, all
     // preallocated and cleared through touched lists; the tick body is
     // O(agents), independent of vertices.
@@ -345,12 +394,11 @@ pub struct Simulation<'a> {
     due_buf: Vec<u64>,
     first_change: Vec<u32>,
 
-    // Auction task-assignment state (`None` under
-    // [`AssignPolicy::Static`] — static runs pay nothing for the layer).
-    // `nudge_buf` defers yield-nudges of parked blockers to the end of
-    // the tick so mid-sweep sleep accounting stays phase-stable, and
-    // `bids` is the auction's candidate scratch.
-    auction: Option<Box<AuctionState>>,
+    // Task-assignment policy state. `nudge_buf` defers the auction's
+    // yield-nudges of parked blockers to the end of the tick so mid-sweep
+    // sleep accounting stays phase-stable, and `bids` is the auction's
+    // candidate scratch.
+    dispatch: Dispatch,
     nudge_buf: Vec<u32>,
     bids: Vec<AgentBid>,
 
@@ -445,8 +493,14 @@ impl<'a> Simulation<'a> {
 
         let stream = TaskStream::new(&config.stream);
         let deviations = DeviationSchedule::new(&config.deviations, agents);
-        let auction = (config.assign.policy == AssignPolicy::Auction)
-            .then(|| Box::new(AuctionState::new(&instance.warehouse, agents)));
+        let dispatch = match config.assign.policy {
+            AssignPolicy::Static => Dispatch::Static {
+                queues: (0..n_products).map(|_| VecDeque::new()).collect(),
+            },
+            AssignPolicy::Auction => {
+                Dispatch::Auction(Box::new(AuctionState::new(&instance.warehouse, agents)))
+            }
+        };
         let mut sim = Simulation {
             instance,
             cycles,
@@ -475,7 +529,6 @@ impl<'a> Simulation<'a> {
             attached: vec![None; agents],
             repair: (0..agents).map(|_| None).collect(),
             repair_cooldown_until: vec![0; agents],
-            queues: (0..n_products).map(|_| VecDeque::new()).collect(),
             occupant,
             claimed: vec![false; n_vertices],
             claimed_cells: Vec::with_capacity(agents),
@@ -496,7 +549,7 @@ impl<'a> Simulation<'a> {
             active: Vec::with_capacity(agents),
             due_buf: Vec::with_capacity(16),
             first_change: Vec::new(),
-            auction,
+            dispatch,
             nudge_buf: Vec::new(),
             bids: Vec::with_capacity(agents),
             t: 0,
@@ -549,11 +602,7 @@ impl<'a> Simulation<'a> {
     /// so mid-run reports match across engines too.
     pub fn report(&self) -> SimReport {
         let mut counters = self.counters.clone();
-        // Under the auction policy agents don't follow the window plan,
-        // so plan lag is meaningless and `max_lag` stays 0 by contract.
-        if self.sleep.sleeping > 0 && self.config.assign.policy == AssignPolicy::Static {
-            counters.max_lag = counters.max_lag.max(self.pending_sleep_lag());
-        }
+        counters.max_lag = counters.max_lag.max(self.pending_sleep_lag());
         SimReport {
             agents: self.pos.len() as u64,
             vertices: self.instance.warehouse.graph().vertex_count() as u64,
@@ -570,15 +619,15 @@ impl<'a> Simulation<'a> {
     /// Resident bytes of the auction's precomputed distance-field cache
     /// (0 under the static policy) — for bench memory accounting.
     pub fn auction_cache_bytes(&self) -> usize {
-        self.auction.as_deref().map_or(0, |a| a.fields.bytes())
+        self.dispatch.auction().map_or(0, |a| a.fields.bytes())
     }
 
     /// Deterministic route-work counters of the auction's path searches
     /// (all zero under the static policy). Never rendered in reports;
     /// identical at every repair thread count.
     pub fn route_work(&self) -> RouteWork {
-        self.auction
-            .as_deref()
+        self.dispatch
+            .auction()
             .map_or_else(RouteWork::default, |a| a.work)
     }
 
@@ -588,7 +637,7 @@ impl<'a> Simulation<'a> {
     /// always-run oracle and compares it tick for tick.
     #[doc(hidden)]
     pub fn disable_auction_dirty_skip(&mut self) {
-        if let Some(auc) = self.auction.as_deref_mut() {
+        if let Dispatch::Auction(auc) = &mut self.dispatch {
             auc.dirty_skip = false;
         }
     }
@@ -741,8 +790,13 @@ impl<'a> Simulation<'a> {
     /// (not including) tick `self.t`. Sleep lag is non-decreasing, so the
     /// peak is the latest value; folding this at replans and into
     /// [`report`](Self::report) reproduces exactly what the reference
-    /// sweep folds tick by tick.
+    /// sweep folds tick by tick. Under the auction policy agents don't
+    /// follow the window plan, so plan lag is meaningless and `max_lag`
+    /// stays 0 by contract.
     fn pending_sleep_lag(&self) -> u64 {
+        if self.sleep.sleeping == 0 || !self.dispatch.is_static() {
+            return 0;
+        }
         let elapsed = self.t.saturating_sub(self.window_start) as usize;
         let mut worst = 0usize;
         for a in 0..self.pos.len() {
@@ -793,24 +847,16 @@ impl<'a> Simulation<'a> {
                 "virtual sleep of agent {agent} diverged from the reference sweep at t={t}"
             ),
         }
-        // Policy (not `self.auction.is_none()`): assignment temporarily
-        // takes the auction state out of its Option while it runs, and it
-        // wakes agents from inside that window — the Option test would
-        // wrongly bank plan lag for them.
-        if self.config.assign.policy == AssignPolicy::Static {
+        // Only plan followers accrue lag; auction agents run missions.
+        if self.dispatch.is_static() {
             let elapsed = t.saturating_sub(self.window_start) as usize;
             let slept_lag = elapsed.saturating_sub(settled) as u64;
             self.counters.max_lag = self.counters.max_lag.max(slept_lag);
         }
         self.sleep.wake(agent, self.carry[agent].is_some());
         self.granted[agent] = false;
-        if let Some(auc) = self.auction.as_deref_mut() {
-            // A wake changes the eligible pool (run_assignment's own
-            // winner-wakes happen while the state is taken out of the
-            // Option and are covered by the commit clearing the clean
-            // flag instead).
-            auc.dirty = true;
-        }
+        // A wake changes the eligible pool.
+        self.dispatch.mark_dirty();
     }
 
     /// Settles every sleeping agent's cursor in place (without waking)
@@ -853,22 +899,18 @@ impl<'a> Simulation<'a> {
         // Sleep lag folds lazily; bank the accrued peak before the replan
         // wipes the ledger (cursors need no materializing — they reset to
         // zero below and the snapshots don't read them).
-        if self.sleep.sleeping > 0 && self.config.assign.policy == AssignPolicy::Static {
-            self.counters.max_lag = self.counters.max_lag.max(self.pending_sleep_lag());
-        }
+        self.counters.max_lag = self.counters.max_lag.max(self.pending_sleep_lag());
         self.sleep.reset();
         self.queue.clear(t);
         // Under the auction policy agents execute missions instead of the
         // window plan, so the realize stage is told to treat every agent
         // as detached: the window realizes with all of them parked as
         // static obstacles and the replan machinery (boundary cadence,
-        // ledger snapshots, counters) keeps running unchanged.
-        let detached = self.auction.is_some();
-        if let Some(auc) = self.auction.as_deref_mut() {
-            // The replan wakes every agent (sleep ledger reset) — the
-            // eligible pool changes, so the next pass must really run.
-            auc.dirty = true;
-        }
+        // ledger snapshots, counters) keeps running unchanged. The replan
+        // wakes every agent (sleep ledger reset), which changes the
+        // auction's eligible pool.
+        let detached = !self.dispatch.is_static();
+        self.dispatch.mark_dirty();
         let snapshots: Vec<AgentSnapshot> = (0..self.pos.len())
             .map(|a| AgentSnapshot {
                 cycle: self.cycle_of[a],
@@ -945,14 +987,17 @@ impl<'a> Simulation<'a> {
         // 1. Arrivals. Under the auction policy tasks land in the global
         // assignment queue instead of the per-product execution queues.
         for task in self.stream.arrivals_at(t) {
-            if let Some(auc) = self.auction.as_mut() {
-                auc.pending.push_back(PendingTask {
-                    product: task.product,
-                    arrival: task.arrival,
-                });
-                auc.dirty = true;
-            } else {
-                self.queues[task.product.index()].push_back(task.arrival);
+            match &mut self.dispatch {
+                Dispatch::Static { queues } => {
+                    queues[task.product.index()].push_back(task.arrival);
+                }
+                Dispatch::Auction(auc) => {
+                    auc.pending.push_back(PendingTask {
+                        product: task.product,
+                        arrival: task.arrival,
+                    });
+                    auc.dirty = true;
+                }
             }
             self.counters.injected += 1;
             self.counters.queued += 1;
@@ -971,10 +1016,8 @@ impl<'a> Simulation<'a> {
             self.counters.stalls_injected += 1;
             self.counters.stall_ticks_injected += u64::from(s.ticks);
             self.counters.events_processed += 1;
-            if let Some(auc) = self.auction.as_deref_mut() {
-                // Eligibility (`t >= stall_until`) just changed.
-                auc.dirty = true;
-            }
+            // Eligibility (`t >= stall_until`) just changed.
+            self.dispatch.mark_dirty();
             if !self.sleep.is_awake(s.agent) {
                 self.wake(s.agent, t);
             }
@@ -1005,7 +1048,7 @@ impl<'a> Simulation<'a> {
         // this is what makes quiet stretches O(dirty work) instead of
         // O(ticks), and — with every idle agent asleep — lets the event
         // engine elide them entirely.
-        if self.auction.is_some() && !self.auction_phase_skippable() {
+        if !self.auction_phase_skippable() {
             self.run_assignment(t);
         }
 
@@ -1028,7 +1071,7 @@ impl<'a> Simulation<'a> {
         // 3. MAPF catch-up repair. Auction agents don't follow the
         // window plan, so there is no schedule to catch up to — the
         // candidate filter would reject everyone anyway; skip the scan.
-        if self.config.repair.enabled && self.auction.is_none() {
+        if self.config.repair.enabled && self.dispatch.is_static() {
             self.try_repairs(t);
         }
 
@@ -1042,7 +1085,7 @@ impl<'a> Simulation<'a> {
             self.granted[a] = false;
             let d = if t < self.stall_until[a] {
                 self.pos[a]
-            } else if let Some(auc) = self.auction.as_deref() {
+            } else if let Dispatch::Auction(auc) = &self.dispatch {
                 // Mission route next hop; idle auction agents park.
                 auc.missions[a]
                     .as_ref()
@@ -1171,7 +1214,7 @@ impl<'a> Simulation<'a> {
 
             if t < self.stall_until[a] {
                 // Frozen: no cursor/repair/mission progress, no events.
-            } else if self.auction.is_some() {
+            } else if !self.dispatch.is_static() {
                 self.step_mission(a, old, moved, t);
             } else if self.repair[a].is_some() {
                 let done = {
@@ -1224,7 +1267,7 @@ impl<'a> Simulation<'a> {
             // and `max_lag` stays 0 by contract). Sleeping agents are
             // absent here under the event engine; their (monotone) lag
             // folds at wake-up, replan, or report time instead.
-            if self.config.assign.policy == AssignPolicy::Static && self.repair[a].is_none() {
+            if self.dispatch.is_static() && self.repair[a].is_none() {
                 let scheduled = (t + 1).saturating_sub(self.window_start) as usize;
                 let lag = scheduled.saturating_sub(self.cursor[a]) as u64;
                 max_lag = max_lag.max(lag);
@@ -1277,7 +1320,7 @@ impl<'a> Simulation<'a> {
         // cannot skew this tick's bulk bookkeeping; the buffer order is
         // the sweep's ascending blocked-agent order, identical under
         // both engines (only mission agents, always awake, file nudges).
-        if self.auction.is_some() && !self.nudge_buf.is_empty() {
+        if !self.nudge_buf.is_empty() {
             self.apply_nudges(t);
         }
 
@@ -1301,10 +1344,10 @@ impl<'a> Simulation<'a> {
             for i in 0..self.active.len() {
                 let a = self.active[i] as usize;
                 if self.sleep.is_awake(a) {
-                    if self.auction.is_some() {
-                        self.maybe_sleep_auction(a);
-                    } else {
+                    if self.dispatch.is_static() {
                         self.maybe_sleep(a);
+                    } else {
+                        self.maybe_sleep_auction(a);
                     }
                 }
             }
@@ -1333,13 +1376,33 @@ impl<'a> Simulation<'a> {
     /// nothing and left the queue in arrival order (a full dry rotation
     /// or an immediate no-eligible-agents bail) — which, with the dirty
     /// flag staying clear, licenses skipping the next pass outright.
+    /// Winners asleep at commit time wake once the pass is done (the pass
+    /// reads no sleep state, and a commit already makes it unclean).
     fn run_assignment(&mut self, t: u64) {
-        let Some(mut auc) = self.auction.take() else {
+        let Dispatch::Auction(auc) = &mut self.dispatch else {
             return;
         };
-        let cfg = self.config.assign.clone();
+        let route_cap = self.config.assign.route_cap;
         let graph = self.instance.warehouse.graph();
         let n = self.pos.len();
+        let (stall_until, carry) = (&self.stall_until, &self.carry);
+        let dark = ClosedSet {
+            until: &self.dark_until,
+            t,
+        };
+        let closed = ClosedSet {
+            until: &self.closed_until,
+            t,
+        };
+        // The rebalancer's idle pool: mission-less, unstaged, unstalled,
+        // empty-handed agents.
+        let idle = |auc: &AuctionState, a: usize| {
+            auc.missions[a].is_none()
+                && auc.staged_of[a].is_none()
+                && t >= stall_until[a]
+                && carry[a].is_none()
+        };
+        let mut woken = Vec::new();
         auc.dirty = false;
         let mut rotations = 0usize;
         let mut committed = false;
@@ -1350,11 +1413,10 @@ impl<'a> Simulation<'a> {
             let Some(&task) = auc.pending.front() else {
                 break;
             };
-            let Some((q, site)) = auc.pick_station_site(task.product, cfg.station_bias) else {
+            let Some((q, site)) = auc.pick_station_site(task.product, STATION_BIAS, dark) else {
                 // No stocked, field-reachable site right now: rotate the
                 // task to the back and look at the next one.
-                let task = auc.pending.pop_front().expect("front checked");
-                auc.pending.push_back(task);
+                auc.pending.rotate_left(1);
                 rotations += 1;
                 continue;
             };
@@ -1390,8 +1452,8 @@ impl<'a> Simulation<'a> {
                     // new pickup; fault-free it is vacuous (an agent
                     // only carries inside a task mission or with a drop
                     // action pending, and neither is replaceable).
-                    let eligible = t >= self.stall_until[a]
-                        && self.carry[a].is_none()
+                    let eligible = t >= stall_until[a]
+                        && carry[a].is_none()
                         && auc.missions[a].as_ref().is_none_or(Mission::replaceable);
                     if !eligible {
                         continue;
@@ -1425,11 +1487,7 @@ impl<'a> Simulation<'a> {
             while let Some(bid) = select_agent(&self.bids) {
                 self.bids.retain(|b| b.agent != bid.agent);
                 let from = self.pos[bid.agent as usize];
-                let closed = ClosedSet {
-                    until: &self.closed_until,
-                    t,
-                };
-                if let Some(path) = auc.site_route(graph, &mut field, from, cfg.route_cap, closed) {
+                if let Some(path) = auc.site_route(graph, &mut field, from, route_cap, closed) {
                     commit = Some((bid.agent as usize, path));
                     break;
                 }
@@ -1437,83 +1495,54 @@ impl<'a> Simulation<'a> {
             let Some((a, path)) = commit else {
                 // Eligible agents exist but none can reach this site;
                 // rotate and retry later (stock or topology may change).
-                let task = auc.pending.pop_front().expect("front checked");
-                auc.pending.push_back(task);
+                auc.pending.rotate_left(1);
                 rotations += 1;
                 continue;
             };
             committed = true;
 
-            // Commit: reserve stock, build the leg list (batching queued
-            // same-product tasks onto this agent), install the mission.
+            // Commit: per task, reserve stock and append its pickup/drop
+            // legs; then batch the oldest queued same-product task onto
+            // this agent, priced from the drop station just appended.
             auc.pending.pop_front();
-            auc.reserved.remove_units(site, task.product, 1);
-            auc.open[q as usize] += 1;
-            let mut legs = VecDeque::with_capacity(2 * cfg.batch.max(1));
-            legs.push_back(Leg {
-                goal: site,
-                action: LegAction::Pickup {
-                    product: task.product,
-                    arrival: task.arrival,
-                },
-            });
-            legs.push_back(Leg {
-                goal: auc.stations[q as usize],
-                action: LegAction::Drop {
-                    arrival: task.arrival,
-                    station: q,
-                },
-            });
-            self.counters.assignments_made += 1;
-            self.counters.events_processed += 1;
-            let mut q_prev = q;
-            let mut extras = cfg.batch.saturating_sub(1);
-            let mut i = 0;
-            while extras > 0 && i < auc.pending.len() {
-                if auc.pending[i].product != task.product {
-                    i += 1;
-                    continue;
-                }
-                let Some((q2, s2)) = auc.pick_followup(task.product, q_prev, cfg.station_bias)
-                else {
-                    break;
-                };
-                let extra = auc.pending.remove(i).expect("index in range");
-                auc.reserved.remove_units(s2, task.product, 1);
-                auc.open[q2 as usize] += 1;
+            let mut legs = VecDeque::with_capacity(2 * BATCH);
+            let (mut task, mut q, mut site) = (task, q, site);
+            loop {
+                auc.reserved.remove_units(site, task.product, 1);
+                auc.open[q as usize] += 1;
+                let (product, arrival) = (task.product, task.arrival);
+                let pickup = LegAction::Pickup { product, arrival };
                 legs.push_back(Leg {
-                    goal: s2,
-                    action: LegAction::Pickup {
-                        product: extra.product,
-                        arrival: extra.arrival,
-                    },
+                    goal: site,
+                    action: pickup,
                 });
                 legs.push_back(Leg {
-                    goal: auc.stations[q2 as usize],
+                    goal: auc.stations[q as usize],
                     action: LegAction::Drop {
-                        arrival: extra.arrival,
-                        station: q2,
+                        arrival,
+                        station: q,
                     },
                 });
                 self.counters.assignments_made += 1;
                 self.counters.events_processed += 1;
-                q_prev = q2;
-                extras -= 1;
+                if legs.len() == 2 * BATCH {
+                    break;
+                }
+                let Some(i) = auc.pending.iter().position(|p| p.product == product) else {
+                    break;
+                };
+                let Some((q2, s2)) = auc.pick_followup(product, q, STATION_BIAS, dark) else {
+                    break;
+                };
+                task = auc.pending.remove(i).expect("index in range");
+                (q, site) = (q2, s2);
             }
             if let Some(qq) = auc.staged_of[a].take() {
                 auc.staged[qq as usize] -= 1;
             }
-            auc.missions[a] = Some(Mission {
-                kind: MissionKind::Task,
-                path,
-                at: 0,
-                legs,
-                action: None,
-                blocked: 0,
-                wedged: false,
-            });
+            auc.missions[a] = Some(Mission::new(MissionKind::Task, path, legs));
             if !self.sleep.is_awake(a) {
-                self.wake(a, t);
+                woken.push(a);
             }
         }
 
@@ -1522,115 +1551,78 @@ impl<'a> Simulation<'a> {
         // since the last pass.
         if auc.pending.is_empty() && auc.idle_dirty {
             auc.idle_dirty = false;
-            let per = cfg.rebalance_per_station as u32;
-            if per > 0 && !auc.stations.is_empty() {
-                let mut pool = 0u32;
-                for a in 0..n {
-                    if auc.missions[a].is_none()
-                        && auc.staged_of[a].is_none()
-                        && t >= self.stall_until[a]
-                        && self.carry[a].is_none()
-                    {
-                        pool += 1;
-                    }
+            let mut pool = (0..n).filter(|&a| idle(auc, a)).count() as u32;
+            let mut order: Vec<u16> = (0..auc.stations.len() as u16).collect();
+            order.sort_unstable_by_key(|&q| {
+                (
+                    auc.staged[q as usize],
+                    std::cmp::Reverse(auc.open[q as usize]),
+                    q,
+                )
+            });
+            'stations: for &q in &order {
+                if dark.closed(q as usize) {
+                    // No point staging idle agents at a dark station; its
+                    // backlog redistributes instead.
+                    continue;
                 }
-                let mut order: Vec<u16> = (0..auc.stations.len() as u16).collect();
-                order.sort_unstable_by_key(|&q| {
-                    (
-                        auc.staged[q as usize],
-                        std::cmp::Reverse(auc.open[q as usize]),
-                        q,
-                    )
-                });
-                'stations: for &q in &order {
-                    if auc.dark[q as usize] {
-                        // No point staging idle agents at a dark
-                        // station; its backlog redistributes instead.
-                        continue;
+                while auc.staged[q as usize] < REBALANCE_PER_STATION {
+                    if pool == 0 {
+                        break 'stations;
                     }
-                    while auc.staged[q as usize] < per {
-                        if pool == 0 {
-                            break 'stations;
-                        }
-                        let anchor = auc.anchors[q as usize];
-                        // The bid slate the retired escalating-cap BFS
-                        // probes produced, reconstructed exactly from the
-                        // anchor's cached full field: the slate is every
-                        // eligible idle agent within the first cap that
-                        // catches the nearest one (bounded BFS yields
-                        // exact distances within its cap, so field
-                        // lookups are value-identical).
-                        self.bids.clear();
-                        let field = auc.fields.anchor_field(q as usize);
-                        let mut dmin = u32::MAX;
+                    let anchor = auc.anchors[q as usize];
+                    // The bid slate the retired escalating-cap BFS probes
+                    // produced, reconstructed exactly from the anchor's
+                    // cached full field: the slate is every eligible idle
+                    // agent within the first cap that catches the nearest
+                    // one (bounded BFS yields exact distances within its
+                    // cap, so field lookups are value-identical).
+                    self.bids.clear();
+                    let field = auc.fields.anchor_field(q as usize);
+                    let dmin = (0..n)
+                        .filter(|&a| idle(auc, a))
+                        .map(|a| field[self.pos[a].index()])
+                        .min()
+                        .unwrap_or(u32::MAX);
+                    if dmin != u32::MAX {
+                        let cap = *[32u32, 128, 512, u32::MAX]
+                            .iter()
+                            .find(|&&c| dmin <= c)
+                            .expect("u32::MAX cap catches everything");
                         for a in 0..n {
-                            if auc.missions[a].is_some()
-                                || auc.staged_of[a].is_some()
-                                || t < self.stall_until[a]
-                                || self.carry[a].is_some()
-                            {
-                                continue;
-                            }
-                            dmin = dmin.min(field[self.pos[a].index()]);
-                        }
-                        if dmin != u32::MAX {
-                            let cap = *[32u32, 128, 512, u32::MAX]
-                                .iter()
-                                .find(|&&c| dmin <= c)
-                                .expect("u32::MAX cap catches everything");
-                            for a in 0..n {
-                                if auc.missions[a].is_some()
-                                    || auc.staged_of[a].is_some()
-                                    || t < self.stall_until[a]
-                                    || self.carry[a].is_some()
-                                {
-                                    continue;
-                                }
-                                let d = field[self.pos[a].index()];
-                                if d <= cap {
-                                    self.bids.push(AgentBid {
-                                        agent: a as u32,
-                                        cost: d,
-                                    });
-                                }
+                            let d = field[self.pos[a].index()];
+                            if d <= cap && idle(auc, a) {
+                                self.bids.push(AgentBid {
+                                    agent: a as u32,
+                                    cost: d,
+                                });
                             }
                         }
-                        let mut commit = None;
-                        while let Some(bid) = select_agent(&self.bids) {
-                            self.bids.retain(|b| b.agent != bid.agent);
-                            let from = self.pos[bid.agent as usize];
-                            let closed = ClosedSet {
-                                until: &self.closed_until,
-                                t,
-                            };
-                            if let Some(path) = auc.route(graph, from, anchor, None, closed) {
-                                commit = Some((bid.agent as usize, path));
-                                break;
-                            }
+                    }
+                    let mut commit = None;
+                    while let Some(bid) = select_agent(&self.bids) {
+                        self.bids.retain(|b| b.agent != bid.agent);
+                        let from = self.pos[bid.agent as usize];
+                        if let Some(path) = auc.route(graph, from, anchor, None, closed) {
+                            commit = Some((bid.agent as usize, path));
+                            break;
                         }
-                        let Some((a, path)) = commit else {
-                            // The remaining pool can't reach any anchor
-                            // worth staging; stop the pass.
-                            break 'stations;
-                        };
-                        auc.missions[a] = Some(Mission {
-                            kind: MissionKind::Reposition(q),
-                            path,
-                            at: 0,
-                            legs: VecDeque::new(),
-                            action: None,
-                            blocked: 0,
-                            wedged: false,
-                        });
-                        auc.staged_of[a] = Some(q);
-                        auc.staged[q as usize] += 1;
-                        pool -= 1;
-                        committed = true;
-                        self.counters.rebalance_moves += 1;
-                        self.counters.events_processed += 1;
-                        if !self.sleep.is_awake(a) {
-                            self.wake(a, t);
-                        }
+                    }
+                    let Some((a, path)) = commit else {
+                        // The remaining pool can't reach any anchor worth
+                        // staging; stop the pass.
+                        break 'stations;
+                    };
+                    let kind = MissionKind::Reposition(q);
+                    auc.missions[a] = Some(Mission::new(kind, path, VecDeque::new()));
+                    auc.staged_of[a] = Some(q);
+                    auc.staged[q as usize] += 1;
+                    pool -= 1;
+                    committed = true;
+                    self.counters.rebalance_moves += 1;
+                    self.counters.events_processed += 1;
+                    if !self.sleep.is_awake(a) {
+                        woken.push(a);
                     }
                 }
             }
@@ -1641,7 +1633,9 @@ impl<'a> Simulation<'a> {
         // rotation (bail after some site-less tasks already moved back)
         // leaves a reordered queue, so the next pass must really run.
         auc.pass_clean = !committed && (rotations == 0 || rotations == auc.pending.len());
-        self.auction = Some(auc);
+        for a in woken {
+            self.wake(a, t);
+        }
     }
 
     /// Whether this tick's assignment phase is provably a byte-identical
@@ -1655,7 +1649,7 @@ impl<'a> Simulation<'a> {
     /// perturbs a dry pass. Both engines evaluate the same predicate,
     /// which keeps skipping — like elision — unobservable.
     fn auction_phase_skippable(&self) -> bool {
-        let Some(auc) = self.auction.as_deref() else {
+        let Dispatch::Auction(auc) = &self.dispatch else {
             return true;
         };
         if !auc.dirty_skip || auc.dirty || !auc.pass_clean {
@@ -1673,14 +1667,17 @@ impl<'a> Simulation<'a> {
     /// arrival, and retires the mission when the last leg is done. No-op
     /// for idle agents.
     fn step_mission(&mut self, a: usize, old: VertexId, moved: bool, t: u64) {
-        let Some(mut auc) = self.auction.take() else {
+        let Dispatch::Auction(auc) = &mut self.dispatch else {
             return;
         };
         let Some(mut m) = auc.missions[a].take() else {
-            self.auction = Some(auc);
             return;
         };
         let graph = self.instance.warehouse.graph();
+        let closed = ClosedSet {
+            until: &self.closed_until,
+            t,
+        };
 
         // 1. Pending carry action fires on this transition.
         if let Some(act) = m.action.take() {
@@ -1719,25 +1716,22 @@ impl<'a> Simulation<'a> {
             m.wedged = false;
         } else if m.at + 1 < m.path.len() {
             m.blocked += 1;
-            let cfg = &self.config.assign;
             let want = m.path[m.at + 1];
             let b = self.occupant[want.index()];
-            if m.blocked >= cfg.yield_after && b != NO_INDEX {
+            if m.blocked >= YIELD_AFTER && b != NO_INDEX {
                 // Deferred to phase 8b; idle blockers drift clear, moving
                 // or stalled ones are filtered at application time.
                 self.nudge_buf.push(b);
             }
-            if m.blocked >= cfg.reroute_after {
+            if m.blocked >= REROUTE_AFTER {
                 match m.kind {
                     MissionKind::Task => {
-                        if m.blocked % cfg.reroute_after == 0 {
+                        if m.blocked % REROUTE_AFTER == 0 {
                             let goal = *m.path.last().expect("non-empty route");
-                            let closed = ClosedSet {
-                                until: &self.closed_until,
-                                t,
-                            };
                             match auc.route(graph, self.pos[a], goal, Some(want), closed) {
-                                Some(path) if path.len() <= cfg.route_cap as usize => {
+                                Some(path)
+                                    if path.len() <= self.config.assign.route_cap as usize =>
+                                {
                                     m.path = path;
                                     m.at = 0;
                                     m.blocked = 0;
@@ -1774,16 +1768,8 @@ impl<'a> Simulation<'a> {
                     debug_assert_eq!(leg.goal, self.pos[a], "mission leg desync");
                     m.action = Some(leg.action);
                     if let Some(&Leg { goal, .. }) = m.legs.front() {
-                        match auc.route_capped(
-                            graph,
-                            self.pos[a],
-                            goal,
-                            self.config.assign.route_cap,
-                            ClosedSet {
-                                until: &self.closed_until,
-                                t,
-                            },
-                        ) {
+                        let cap = self.config.assign.route_cap;
+                        match auc.route_capped(graph, self.pos[a], goal, cap, closed) {
                             Some(path) => {
                                 m.path = path;
                                 m.at = 0;
@@ -1791,27 +1777,21 @@ impl<'a> Simulation<'a> {
                             }
                             None => {
                                 // Defensive only: assignment verified
-                                // field reachability for every leg. Shed
-                                // the remaining legs back to the queue.
-                                auc.dirty = true;
-                                while let Some(l2) = m.legs.pop_front() {
-                                    match l2.action {
-                                        LegAction::Pickup { product, arrival } => {
-                                            auc.pending
-                                                .push_front(PendingTask { product, arrival });
-                                        }
-                                        LegAction::Drop { station, .. } => {
-                                            let open = &mut auc.open[station as usize];
-                                            *open = open.saturating_sub(1);
-                                        }
-                                    }
-                                }
-                                if let Some(LegAction::Pickup { product, arrival }) = m.action {
-                                    // Its drop leg was just shed: don't
-                                    // execute the pickup either.
+                                // field reachability for every leg, but a
+                                // closure or the route cap can still cut
+                                // the next one. Shed the remaining legs
+                                // back to the queue; a pending pickup
+                                // (whose drop is among them) goes first,
+                                // unexecuted.
+                                if let Some(action @ LegAction::Pickup { .. }) = m.action {
                                     m.action = None;
-                                    auc.pending.push_front(PendingTask { product, arrival });
+                                    m.legs.push_front(Leg {
+                                        goal: self.pos[a],
+                                        action,
+                                    });
                                 }
+                                Self::shed_legs(auc, &mut m, &mut self.counters);
+                                auc.dirty = true;
                             }
                         }
                     }
@@ -1821,15 +1801,7 @@ impl<'a> Simulation<'a> {
                             // it fires, so the station clears for the
                             // next delivery instead of being parked on.
                             m.kind = MissionKind::Drift;
-                            m.path = auc.drift_walk(
-                                graph,
-                                self.pos[a],
-                                &self.occupant,
-                                ClosedSet {
-                                    until: &self.closed_until,
-                                    t,
-                                },
-                            );
+                            m.path = auc.drift_walk(graph, self.pos[a], &self.occupant, closed);
                             m.at = 0;
                             m.blocked = 0;
                         } else if m.action.is_none() {
@@ -1848,7 +1820,6 @@ impl<'a> Simulation<'a> {
         } else {
             auc.missions[a] = Some(m);
         }
-        self.auction = Some(auc);
     }
 
     /// Applies the yield-nudges deferred during phase 7: each still-idle,
@@ -1858,14 +1829,10 @@ impl<'a> Simulation<'a> {
         let mut buf = std::mem::take(&mut self.nudge_buf);
         for &b in &buf {
             let b = b as usize;
-            if t < self.stall_until[b] {
-                continue;
-            }
-            let Some(mut auc) = self.auction.take() else {
+            let Dispatch::Auction(auc) = &mut self.dispatch else {
                 break;
             };
-            if auc.missions[b].is_some() {
-                self.auction = Some(auc);
+            if t < self.stall_until[b] || auc.missions[b].is_some() {
                 continue;
             }
             let path = auc.drift_walk(
@@ -1877,22 +1844,13 @@ impl<'a> Simulation<'a> {
                     t,
                 },
             );
-            let nudged = path.len() > 1;
-            if nudged {
-                auc.missions[b] = Some(Mission {
-                    kind: MissionKind::Drift,
-                    path,
-                    at: 0,
-                    legs: VecDeque::new(),
-                    action: None,
-                    blocked: 0,
-                    wedged: false,
-                });
-                auc.dirty = true;
-                self.counters.events_processed += 1;
+            if path.len() <= 1 {
+                continue;
             }
-            self.auction = Some(auc);
-            if nudged && !self.sleep.is_awake(b) {
+            auc.missions[b] = Some(Mission::new(MissionKind::Drift, path, VecDeque::new()));
+            auc.dirty = true;
+            self.counters.events_processed += 1;
+            if !self.sleep.is_awake(b) {
                 self.wake(b, t);
             }
         }
@@ -1915,47 +1873,45 @@ impl<'a> Simulation<'a> {
     /// rebalance, nudge, stall, boundary replan — runs identically under
     /// both engines, which is what keeps elision unobservable.
     fn maybe_sleep_auction(&mut self, agent: usize) {
-        let auc = self.auction.as_deref().expect("auction engine");
+        let auc = self.dispatch.auction().expect("auction engine");
+        let stalled = self.t < self.stall_until[agent];
         if let Some(m) = &auc.missions[agent] {
-            if m.wedged && self.t >= self.stall_until[agent] {
+            if m.wedged && !stalled {
                 // Wedged mission: its reroute is rejected and its blocker
                 // is not yielding. Park frozen (no event); the boundary
                 // replan or a stall wakes it for the next retry.
-                let carrying = self.carry[agent].is_some();
-                self.sleep.sleep(
-                    agent,
-                    SleepMode::Frozen,
-                    self.t,
-                    self.cursor[agent],
-                    carrying,
-                );
-                self.granted[agent] = false;
+                self.sleep_agent(agent, SleepMode::Frozen);
             }
             return;
         }
-        let quiet = !auc.idle_dirty && (auc.pending.is_empty() || (auc.pass_clean && !auc.dirty));
-        let from = self.t;
-        let carrying = self.carry[agent].is_some();
-        if from < self.stall_until[agent] {
-            // Permanently broken agents (`NEVER`) file no wake-up: only
-            // the boundary replan's ledger reset re-examines them.
-            let wake = self.stall_until[agent];
-            let seq =
-                self.sleep
-                    .sleep(agent, SleepMode::Frozen, from, self.cursor[agent], carrying);
-            if wake != NEVER {
-                self.queue.push(wake, event::pack(event::WAKE, agent, seq));
-            }
-            self.granted[agent] = false;
-            return;
-        }
-        if quiet {
+        if stalled {
+            self.sleep_stalled(agent);
+        } else if !auc.idle_dirty && (auc.pending.is_empty() || (auc.pass_clean && !auc.dirty)) {
             // Frozen with no event: assignment, a stall, or the boundary
             // replan wakes it (the plan-exhausted precedent).
-            self.sleep
-                .sleep(agent, SleepMode::Frozen, from, self.cursor[agent], carrying);
-            self.granted[agent] = false;
+            self.sleep_agent(agent, SleepMode::Frozen);
         }
+    }
+
+    /// Puts awake `agent` to sleep in `mode` from tick `self.t` at its
+    /// current cursor; returns the sleep's event sequence number.
+    fn sleep_agent(&mut self, agent: usize, mode: SleepMode) -> u32 {
+        self.granted[agent] = false;
+        let carrying = self.carry[agent].is_some();
+        self.sleep
+            .sleep(agent, mode, self.t, self.cursor[agent], carrying)
+    }
+
+    /// Freezes stalled `agent` with a wake-up at the stall's end. A
+    /// permanent breakdown (`NEVER`) files none: only the boundary
+    /// replan's ledger reset re-examines it.
+    fn sleep_stalled(&mut self, agent: usize) -> u32 {
+        let seq = self.sleep_agent(agent, SleepMode::Frozen);
+        let wake = self.stall_until[agent];
+        if wake != NEVER {
+            self.queue.push(wake, event::pack(event::WAKE, agent, seq));
+        }
+        seq
     }
 
     /// Decides whether `agent` — just processed, currently awake — can
@@ -1979,35 +1935,24 @@ impl<'a> Simulation<'a> {
         if replan_lag > 0 && lag >= replan_lag {
             return;
         }
-        let carrying = self.carry[agent].is_some();
         if from < self.stall_until[agent] {
             // Stalled: frozen until the stall ends; if its growing lag
-            // would cross the replan threshold first, file the check. A
-            // permanent breakdown (`NEVER`) files no wake-up at all.
-            let wake = self.stall_until[agent];
-            let seq = self
-                .sleep
-                .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
-            if wake != NEVER {
-                self.queue.push(wake, event::pack(event::WAKE, agent, seq));
-            }
+            // would cross the replan threshold first, file the check.
+            let seq = self.sleep_stalled(agent);
             if replan_lag > 0 {
                 let crossing = self.window_start + (cursor + replan_lag) as u64 - 1;
-                if crossing < wake {
+                if crossing < self.stall_until[agent] {
                     self.queue
                         .push(crossing, event::pack(event::REPLAN_CHECK, agent, seq));
                 }
             }
-            self.granted[agent] = false;
             return;
         }
         if self.aligned(agent) {
             if cursor >= self.window_len {
                 // Plan exhausted: parked until the boundary replan, which
                 // arrives before its lag could cross the threshold.
-                self.sleep
-                    .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
-                self.granted[agent] = false;
+                self.sleep_agent(agent, SleepMode::Frozen);
                 return;
             }
             // A lagged aligned agent may become a repair candidate any
@@ -2019,36 +1964,28 @@ impl<'a> Simulation<'a> {
             match self.silent_run_len(agent, cursor) {
                 Some(1) => {} // next tick already changes state
                 Some(run) => {
-                    let seq = self
-                        .sleep
-                        .sleep(agent, SleepMode::Silent, from, cursor, carrying);
+                    let seq = self.sleep_agent(agent, SleepMode::Silent);
                     self.queue
                         .push(from + run as u64 - 1, event::pack(event::WAKE, agent, seq));
-                    self.granted[agent] = false;
                 }
                 None => {
                     // Stationary through the whole remaining window: the
                     // cursor analytically runs out and the boundary
                     // replan wakes it (no event needed; the lag crossing
                     // provably can't precede the boundary).
-                    self.sleep
-                        .sleep(agent, SleepMode::Silent, from, cursor, carrying);
-                    self.granted[agent] = false;
+                    self.sleep_agent(agent, SleepMode::Silent);
                 }
             }
             return;
         }
         // Unaligned (a stray parked off-plan): frozen until the next
         // replan re-anchors it, with its lag crossing filed.
-        let seq = self
-            .sleep
-            .sleep(agent, SleepMode::Frozen, from, cursor, carrying);
+        let seq = self.sleep_agent(agent, SleepMode::Frozen);
         if replan_lag > 0 {
             let crossing = self.window_start + (cursor + replan_lag) as u64 - 1;
             self.queue
                 .push(crossing, event::pack(event::REPLAN_CHECK, agent, seq));
         }
-        self.granted[agent] = false;
     }
 
     /// Length of `agent`'s *silent run*: the smallest `j ≥ 1` whose
@@ -2093,6 +2030,9 @@ impl<'a> Simulation<'a> {
         at: VertexId,
         t: u64,
     ) {
+        let Dispatch::Static { queues } = &mut self.dispatch else {
+            unreachable!("window-plan carry events run under the static policy only");
+        };
         match (before, after) {
             (Carry::Empty, Carry::Product(p)) => {
                 debug_assert!(
@@ -2101,7 +2041,7 @@ impl<'a> Simulation<'a> {
                 );
                 self.ledger.remove_units(at, p, 1);
                 self.carry[agent] = Some(p);
-                if let Some(arrival) = self.queues[p.index()].pop_front() {
+                if let Some(arrival) = queues[p.index()].pop_front() {
                     self.attached[agent] = Some(arrival);
                     self.counters.queued -= 1;
                     self.counters.in_flight += 1;
@@ -2113,7 +2053,7 @@ impl<'a> Simulation<'a> {
                 if let Some(arrival) = self.attached[agent].take() {
                     self.counters.in_flight -= 1;
                     self.counters.record_latency(t + 1 - arrival);
-                } else if let Some(arrival) = self.queues[p.index()].pop_front() {
+                } else if let Some(arrival) = queues[p.index()].pop_front() {
                     self.counters.queued -= 1;
                     self.counters.record_latency(t + 1 - arrival);
                 } else {
@@ -2128,9 +2068,12 @@ impl<'a> Simulation<'a> {
     }
 
     /// Applies one fired [`FaultEvent`] — both engines, identically.
+    /// Every kind changes an assignment input (eligibility, the station
+    /// slate, route outcomes), so each dirties the auction.
     fn apply_fault(&mut self, e: FaultEvent, t: u64) {
         self.counters.faults_injected += 1;
         self.counters.events_processed += 1;
+        self.dispatch.mark_dirty();
         match e {
             FaultEvent::Breakdown { agent, until, .. } => {
                 // A breakdown is a (possibly unbounded) stall: all the
@@ -2144,29 +2087,21 @@ impl<'a> Simulation<'a> {
                 }
                 self.stall_until[agent] = was.max(until);
                 self.shed_agent_tasks(agent, until == NEVER);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Eligibility (`t >= stall_until`) just changed.
-                    auc.dirty = true;
-                }
                 if !self.sleep.is_awake(agent) {
                     self.wake(agent, t);
                 }
             }
             FaultEvent::Outage { station, until, .. } => {
+                // Dark stations take no new assignments; their queued
+                // tasks wait (rotating in the pending queue) and the
+                // station-pressure bias pushes fresh work toward the
+                // remaining stations. In-flight deliveries already en
+                // route still complete.
                 let was = self.dark_until[station];
                 if was <= t {
                     self.dark_active += 1;
                 }
                 self.dark_until[station] = was.max(until);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Dark stations take no new assignments; their
-                    // queued tasks wait (rotating in the pending queue)
-                    // and the `station_bias` pressure pushes fresh work
-                    // toward the remaining stations. In-flight
-                    // deliveries already en route still complete.
-                    auc.dark[station] = true;
-                    auc.dirty = true;
-                }
             }
             FaultEvent::Closure {
                 anchor,
@@ -2175,10 +2110,6 @@ impl<'a> Simulation<'a> {
                 ..
             } => {
                 self.close_corridor(anchor, axis, until, t);
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    // Route outcomes (commits, reroutes, drifts) changed.
-                    auc.dirty = true;
-                }
             }
         }
     }
@@ -2193,12 +2124,7 @@ impl<'a> Simulation<'a> {
             let live = self.dark_until.iter().filter(|&&u| u > t).count();
             if live < self.dark_active {
                 self.dark_active = live;
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    for (q, &u) in self.dark_until.iter().enumerate() {
-                        auc.dark[q] = u > t;
-                    }
-                    auc.dirty = true;
-                }
+                self.dispatch.mark_dirty();
             }
         }
         if !self.closed_cells.is_empty() {
@@ -2206,9 +2132,7 @@ impl<'a> Simulation<'a> {
             let before = cells.len();
             cells.retain(|v| self.closed_until[v.index()] > t);
             if cells.len() < before {
-                if let Some(auc) = self.auction.as_deref_mut() {
-                    auc.dirty = true;
-                }
+                self.dispatch.mark_dirty();
             }
             self.closed_cells = cells;
         }
@@ -2265,22 +2189,25 @@ impl<'a> Simulation<'a> {
     /// conservation identity never bends; `tasks_shed` counts every
     /// shed).
     fn shed_agent_tasks(&mut self, a: usize, permanent: bool) {
-        let Some(mut auc) = self.auction.take() else {
-            // Static policy: detach the carried task and re-queue it by
-            // arrival. The agent's window plan still executes its drop
-            // after recovery, which then completes the queue's new
-            // front task instead (`apply_carry_event`'s unattached arm)
-            // — late delivery, exact conservation.
-            if let Some(arrival) = self.attached[a].take() {
-                let product = self.carry[a].expect("attached implies carrying");
-                let q = &mut self.queues[product.index()];
-                let i = q.partition_point(|&x| x <= arrival);
-                q.insert(i, arrival);
-                self.counters.in_flight -= 1;
-                self.counters.queued += 1;
-                self.counters.tasks_shed += 1;
+        let auc = match &mut self.dispatch {
+            Dispatch::Static { queues } => {
+                // Detach the carried task and re-queue it by arrival. The
+                // agent's window plan still executes its drop after
+                // recovery, which then completes the queue's new front
+                // task instead (`apply_carry_event`'s unattached arm) —
+                // late delivery, exact conservation.
+                if let Some(arrival) = self.attached[a].take() {
+                    let product = self.carry[a].expect("attached implies carrying");
+                    let q = &mut queues[product.index()];
+                    let i = q.partition_point(|&x| x <= arrival);
+                    q.insert(i, arrival);
+                    self.counters.in_flight -= 1;
+                    self.counters.queued += 1;
+                    self.counters.tasks_shed += 1;
+                }
+                return;
             }
-            return;
+            Dispatch::Auction(auc) => auc,
         };
         if let Some(qq) = auc.staged_of[a].take() {
             auc.staged[qq as usize] -= 1;
@@ -2305,7 +2232,7 @@ impl<'a> Simulation<'a> {
                 } else {
                     m.legs.pop_front()
                 };
-                Self::shed_legs(&mut auc, &mut m, &mut self.counters);
+                Self::shed_legs(auc, &mut m, &mut self.counters);
                 match kept {
                     Some(leg) => m.legs.push_back(leg),
                     // Only the pending drop action remains; stop walking
@@ -2334,14 +2261,13 @@ impl<'a> Simulation<'a> {
                     self.counters.tasks_shed += 1;
                     Self::requeue_pending(&mut auc.pending, PendingTask { product, arrival });
                 }
-                Self::shed_legs(&mut auc, &mut m, &mut self.counters);
+                Self::shed_legs(auc, &mut m, &mut self.counters);
                 // Mission dissolved; a recovered (task-less) agent goes
                 // back to the idle pool.
                 auc.idle_dirty = true;
             }
             auc.dirty = true;
         }
-        self.auction = Some(auc);
     }
 
     /// Drains `m.legs`, restoring each unexecuted pickup's reservation
@@ -2549,5 +2475,65 @@ impl<'a> Simulation<'a> {
         for i in 0..self.requests.len() {
             self.is_candidate[self.requests[i].agent] = false;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use wsp_model::Workload;
+
+    use super::*;
+
+    /// The leg-transition fallback in `step_mission`: every station cell
+    /// is closed for the first stretch of the run, so each agent that
+    /// reaches its pickup site finds no route to its drop station. The
+    /// pickup must shed back to the queue unexecuted, with its stock
+    /// reservation restored, and once the stations re-open every task
+    /// must be assigned and delivered again — with no unit of stock left
+    /// reserved behind.
+    #[test]
+    fn a_cut_drop_leg_sheds_its_pickup_and_the_task_is_delivered_again() {
+        let map = wsp_maps::scaled_warehouse(5, 40, 3, 5).expect("small scaled map builds");
+        let instance = WspInstance::new(map.warehouse, map.traffic, Workload::zeros(0), 0);
+        let cycles = crate::direct_cycle_set(&instance.warehouse, &instance.traffic, 24);
+        let mut mix = Workload::zeros(instance.warehouse.catalog().len());
+        for p in cycles.cycles().iter().flat_map(|c| c.delivered_products()) {
+            mix.set(p, 2);
+        }
+        let stream = StreamConfig {
+            mix,
+            mean_gap: 2,
+            seed: 3,
+        };
+        let mut config = SimConfig {
+            ticks: 2_000,
+            stream,
+            ..SimConfig::default()
+        };
+        config.assign.policy = AssignPolicy::Auction;
+        let mut sim = Simulation::from_cycles(&instance, cycles, config).unwrap();
+        let reopen = 150;
+        for &v in instance.warehouse.stations() {
+            sim.closed_until[v.index()] = reopen;
+            sim.closed_cells.push(v);
+        }
+
+        sim.run_ticks(reopen).unwrap();
+        let c = sim.counters();
+        assert!(c.tasks_shed > 0, "no drop leg was cut: {c:?}");
+        assert_eq!((c.delivered, c.in_flight), (0, 0), "a pickup fired");
+        sim.run().unwrap();
+        let c = sim.counters();
+        assert!(c.injected > 0 && c.conserved());
+        assert_eq!(c.completed, c.injected, "shed tasks were not delivered");
+        assert!(c.assignments_made > c.injected, "no task was re-assigned");
+        let auc = sim.dispatch.auction().expect("auction policy");
+        assert!(auc.pending.is_empty() && auc.missions.iter().flatten().all(|m| m.legs.is_empty()));
+        let units = |m: &LocationMatrix| m.iter().map(|(_, _, u)| u).sum::<u64>();
+        let leaked = units(&sim.ledger) - units(&auc.reserved);
+        assert!(
+            auc.reserved == sim.ledger,
+            "shed pickups left {leaked} units reserved"
+        );
     }
 }

@@ -200,6 +200,9 @@ proptest! {
                 Simulation::from_cycles(&instance, cycles.clone(), config).unwrap();
             let report = sim.run().unwrap();
             prop_assert!(report.counters.conserved());
+            // Auction agents follow missions, not the window plan: plan
+            // lag is undefined and must never be banked.
+            prop_assert_eq!(report.counters.max_lag, 0);
             renderings.push(report.to_json());
         }
         prop_assert_eq!(&renderings[0], &renderings[1], "2 threads diverged from 1");

@@ -200,6 +200,9 @@ fn auction_chaos_degrades_gracefully_and_deterministically() {
             stats.delivered.iter().sum::<u64>(),
             report.counters.delivered
         );
+        // Breakdowns wake and freeze auction agents all run long, but
+        // they follow missions, not the window plan: no lag is banked.
+        assert_eq!(report.counters.max_lag, 0, "phantom plan lag ({engine:?})");
         report
     };
 
