@@ -1,10 +1,9 @@
-//! Benchmark harness shared by the criterion benches (`benches/`) and the
-//! standalone table/figure binaries (`src/bin/`): the Table I instance
-//! list, timed single-row runners for the paper-mode / strict / integer
-//! solver configurations, and the scaling-scenario builder behind
-//! `benches/scaling.rs` and `BENCH_scaling.json`. Sits on top of every
-//! other crate in the workspace; results are tracked per PR in
-//! `BENCH_baseline.json` and `BENCH_scaling.json` (see docs/BENCHMARKS.md).
+//! Shared core of the paper-regeneration binaries (`src/bin/`) and the
+//! lifelong-simulation tests: the Table I instance list, timed single-row
+//! runners for the paper-mode / strict / integer solver configurations,
+//! the MAPF scaling-scenario builder behind `BENCH_scaling.json`, and the
+//! ready-to-simulate scenarios `tests/sim.rs` pins. Sits on top of every
+//! other crate in the workspace (see docs/BENCHMARKS.md).
 
 #![warn(missing_docs)]
 
@@ -141,14 +140,14 @@ pub struct ScalingScenario {
     pub goals: Vec<Vec<VertexId>>,
 }
 
-/// Builds the scaling scenario benched in `benches/scaling.rs`: a
+/// Builds the scaling scenario the `scaling` binary sweeps: a
 /// `scaled_warehouse(rows, cols, 3, seed)` instance with `agents` agents
 /// spread over the map, each routed to a shelf-access vertex a quarter of
 /// the floor away in the same rotational direction — long co-directional
 /// hauls, the flow shape the co-designed traffic systems produce. (Routing
 /// half the team along the *reverse* corridors instead creates head-on
 /// meetings in one-agent-wide aisles, an adversarial regime that measures
-/// conflict resolution rather than scale; that belongs to the CBS benches.)
+/// conflict resolution rather than scale.)
 ///
 /// # Panics
 ///
@@ -172,10 +171,10 @@ pub fn scaling_scenario(rows: u32, cols: u32, agents: usize, seed: u64) -> Scali
 
 /// A ready-to-simulate lifelong scenario: instance, executable cycle set,
 /// and the arrival mix — everything [`wsp_sim::Simulation::from_cycles`]
-/// needs (behind `benches/sim.rs` and `BENCH_sim.json`).
+/// needs (behind the lifelong-simulation tests in `tests/sim.rs`).
 #[derive(Debug)]
 pub struct SimScenario {
-    /// Scenario name, used as the bench id.
+    /// Scenario name.
     pub label: String,
     /// The instance (warehouse + traffic; `t_limit` is ignored by the
     /// simulator).

@@ -69,9 +69,7 @@ proptest! {
 /// A mixed small-map candidate set pinning the invariant on a fixed input
 /// (the proptest above covers random inputs): solved, infeasible, and
 /// failed candidates together, across both orientations and the capacity
-/// boundary. Small maps keep this fast in debug CI; the full 20-candidate
-/// sweep runs the same check in release through `benches/explore.rs` and
-/// `examples/design_search.rs`.
+/// boundary. Small maps keep this fast in debug CI.
 #[test]
 fn fixed_mixed_set_is_thread_count_independent() {
     let small = |stations: u32, max_component_len: usize, reversed: bool| {

@@ -12,8 +12,9 @@
 //! al.'s adaptive task planning for large-scale robotized warehouses
 //! (arXiv:2205.00831): each queued task is auctioned to the cheapest
 //! eligible agent over BFS-distance costs
-//! ([`FloorplanGraph::bfs_distances_bounded_into`] probes the idle
-//! neighbourhood of the chosen shelf slot at escalating caps), compatible
+//! ([`FloorplanGraph::bfs_bounded_begin`] probes the idle neighbourhood of
+//! the chosen shelf slot, and [`FloorplanGraph::bfs_bounded_resume`]
+//! widens that probe's frontier at each escalating cap), compatible
 //! same-product tasks are batched onto one agent, and idle agents are
 //! rebalanced toward high-pressure stations. Every decision is a pure
 //! function of `(queue, agent states, tick)` — index-deterministic
@@ -96,8 +97,10 @@ impl Default for AssignConfig {
 pub struct AgentBid {
     /// Agent index.
     pub agent: u32,
-    /// BFS distance from the pickup site to the agent (engine bids use
-    /// [`FloorplanGraph::bfs_distances_bounded_into`] fields).
+    /// BFS distance from the pickup site to the agent (engine bids read
+    /// the [`FloorplanGraph::bfs_bounded_begin`] /
+    /// [`FloorplanGraph::bfs_bounded_resume`] probe's distances, or the
+    /// rebalancer's cached station-anchor fields).
     pub cost: u32,
 }
 

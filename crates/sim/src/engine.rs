@@ -34,8 +34,9 @@
 //!    themselves, and plan lag is undefined off-plan.
 //! 5. **Movement** — every agent names its desired next cell (its repair
 //!    path, else its mission path under `Auction`, else its window plan);
-//!    a fixpoint grant pass then executes all
-//!    conflict-free chains simultaneously. Grants require the target cell
+//!    an O(movers) vacancy-chain worklist then executes all conflict-free
+//!    chains simultaneously: each grant frees a cell and wakes the
+//!    lowest-indexed mover waiting on it. Grants require the target cell
 //!    empty or its occupant granted away, and one grant per cell, so
 //!    vertex collisions and edge swaps are impossible *by construction*
 //!    regardless of how badly deviations scrambled the schedule — blocked
@@ -117,6 +118,10 @@ const YIELD_AFTER: u32 = 2;
 /// Ticks blocked before a task mission reroutes around the contested cell
 /// (repositioning missions give up and park instead).
 const REROUTE_AFTER: u32 = 8;
+/// The escalating neighbourhood caps of the bidder probe around a pickup
+/// site. The rebalancer rebuilds the probe's bid slate from cached fields
+/// with the same list, so both read this one constant.
+const PROBE_CAPS: [u32; 4] = [32, 128, 512, u32::MAX];
 
 /// The task-assignment policy's runtime state, built once from
 /// `config.assign.policy` and owned by the engine for its lifetime: every
@@ -770,20 +775,28 @@ impl<'a> Simulation<'a> {
         self.counters.ticks_elided += k;
         self.counters.waits += k * n;
         self.counters.carrying_ticks += k * self.sleep.sleeping_carriers;
-        if let Some(plan) = self.executed.as_mut() {
+        if self.executed.is_some() {
             for _ in 0..k {
-                for a in 0..n as usize {
-                    plan.push_state(
-                        a,
-                        AgentState {
-                            at: self.pos[a],
-                            carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
-                        },
-                    );
-                }
+                self.record_states();
             }
         }
         self.t = target;
+    }
+
+    /// Appends every agent's current cell and carry to the executed
+    /// trajectories, when `config.record` is set.
+    fn record_states(&mut self) {
+        if let Some(plan) = self.executed.as_mut() {
+            for a in 0..self.pos.len() {
+                plan.push_state(
+                    a,
+                    AgentState {
+                        at: self.pos[a],
+                        carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
+                    },
+                );
+            }
+        }
     }
 
     /// Largest lag any *sleeping* agent has analytically accrued up to
@@ -1291,17 +1304,7 @@ impl<'a> Simulation<'a> {
             self.counters.waits += self.sleep.sleeping as u64;
             self.counters.carrying_ticks += self.sleep.sleeping_carriers;
         }
-        if let Some(plan) = self.executed.as_mut() {
-            for a in 0..n {
-                plan.push_state(
-                    a,
-                    AgentState {
-                        at: self.pos[a],
-                        carry: self.carry[a].map_or(Carry::Empty, Carry::Product),
-                    },
-                );
-            }
-        }
+        self.record_states();
 
         self.counters.ticks += 1;
         debug_assert!(
@@ -1427,7 +1430,7 @@ impl<'a> Simulation<'a> {
             // re-running the BFS from scratch.
             self.bids.clear();
             let mut probe = None;
-            for cap in [32u32, 128, 512, u32::MAX] {
+            for cap in PROBE_CAPS {
                 match probe.as_mut() {
                     None => {
                         probe = Some(graph.bfs_bounded_begin(
@@ -1585,7 +1588,7 @@ impl<'a> Simulation<'a> {
                         .min()
                         .unwrap_or(u32::MAX);
                     if dmin != u32::MAX {
-                        let cap = *[32u32, 128, 512, u32::MAX]
+                        let cap = *PROBE_CAPS
                             .iter()
                             .find(|&&c| dmin <= c)
                             .expect("u32::MAX cap catches everything");
@@ -2407,17 +2410,20 @@ impl<'a> Simulation<'a> {
         let mut table = std::mem::replace(&mut self.repair_table, ReservationTable::new(0));
         table.reset();
         let radius = 2 * (cfg.slack as u64 + 1);
+        let requests = &self.requests;
+        let near_request = |v: VertexId| {
+            let at = graph.coord(v);
+            requests.iter().any(|r| {
+                let s = graph.coord(r.start);
+                u64::from(at.x.abs_diff(s.x)) + u64::from(at.y.abs_diff(s.y)) <= radius
+            })
+        };
         let span = cfg.lookahead.min(cfg.slack + 2);
         for b in 0..n {
             if self.is_candidate[b] {
                 continue;
             }
-            let at = graph.coord(self.pos[b]);
-            let near = self.requests.iter().any(|r| {
-                let s = graph.coord(r.start);
-                u64::from(at.x.abs_diff(s.x)) + u64::from(at.y.abs_diff(s.y)) <= radius
-            });
-            if !near {
+            if !near_request(self.pos[b]) {
                 continue;
             }
             self.projection.clear();
@@ -2453,12 +2459,7 @@ impl<'a> Simulation<'a> {
         // bitsets, so overlap with an occupant's projection is
         // harmless).
         for &v in &self.closed_cells {
-            let at = graph.coord(v);
-            let near = self.requests.iter().any(|r| {
-                let s = graph.coord(r.start);
-                u64::from(at.x.abs_diff(s.x)) + u64::from(at.y.abs_diff(s.y)) <= radius
-            });
-            if near {
+            if near_request(v) {
                 table.reserve_path(std::slice::from_ref(&v));
             }
         }

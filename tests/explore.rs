@@ -1,9 +1,10 @@
 //! Umbrella end-to-end guard for the staged pipeline + explorer stack:
 //! the staged API must agree with the one-shot `solve`, and a small
 //! parallel design search must produce a verified, reproducible winner.
+//! The full default sweep must also be thread-count independent.
 
 use wsp_core::{solve, Pipeline, PipelineOptions, WspInstance};
-use wsp_explore::{evaluate_batch, DesignCandidate, ExploreOptions};
+use wsp_explore::{evaluate_batch, sorting_center_sweep, DesignCandidate, ExploreOptions};
 use wsp_maps::SortingCenterParams;
 use wsp_traffic::RingOrientation;
 
@@ -52,4 +53,26 @@ fn explore_winner_is_verified_and_reproducible() {
     assert_eq!(one_shot.objective(), staged.objective());
     assert_eq!(one_shot.objective(), (eval.agents, eval.makespan));
     assert_eq!(staged.flow.synthesis_cost(), eval.synthesis_cost);
+}
+
+/// The full default 20-candidate sorting-center sweep (160 units,
+/// `T = 3600`): outcomes and Pareto front must fingerprint
+/// byte-identically at 1, 2 and 4 worker threads.
+#[test]
+fn full_sweep_is_thread_count_independent() {
+    let candidates = sorting_center_sweep();
+    let fingerprints: Vec<String> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let options = ExploreOptions {
+                threads: Some(threads),
+                ..ExploreOptions::default()
+            };
+            evaluate_batch(&candidates, &options).fingerprint()
+        })
+        .collect();
+    assert!(
+        fingerprints.windows(2).all(|w| w[0] == w[1]),
+        "thread counts disagreed on the full sweep — determinism bug"
+    );
 }

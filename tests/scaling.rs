@@ -4,7 +4,7 @@
 //!
 //! Hauls here are deliberately short (same-region shelf runs) so the test
 //! stays fast in debug builds; the release-mode cross-warehouse sweep
-//! lives in `wsp-bench` (`benches/scaling.rs`, `BENCH_scaling.json`).
+//! lives in `wsp-bench` (the `scaling` binary, `BENCH_scaling.json`).
 
 use wsp_mapf::{MapfProblem, PrioritizedPlanner, SpaceTimeAstar};
 use wsp_maps::scaled_warehouse;

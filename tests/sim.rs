@@ -1,6 +1,9 @@
 //! Lifelong-simulation regression tests: golden-file pins of two
 //! fixed-seed scenarios (the paper-scale sorting center and a ~10k-vertex
-//! `scaled_warehouse`), plus an end-to-end smoke over the full engine.
+//! `scaled_warehouse`), plus an end-to-end smoke over the full engine. The
+//! `#[ignore]`d nightly tests add a 200k-tick elision budget, repair
+//! thread-count independence at paper, ~11k and ≥100k-vertex scale, and
+//! the auction and fault gates on the ≥100k-vertex floor.
 //!
 //! The golden files under `tests/golden/` store the canonical
 //! `SimReport::to_json` rendering — every field an integer, byte-identical
@@ -17,7 +20,7 @@
 
 use std::path::PathBuf;
 
-use wsp_bench::{sim_scenario_paper, sim_scenario_scaled};
+use wsp_bench::{sim_scenario_paper, sim_scenario_scaled, SimScenario};
 use wsp_sim::Simulation;
 
 /// Directory-parameterized core of [`golden_check`], so the bless and
@@ -201,6 +204,141 @@ fn nightly_event_engine_200k_tick_smoke() {
         elapsed < WALL_BUDGET,
         "200k simulated ticks took {elapsed:?}, budget {WALL_BUDGET:?} — \
          elision regression?"
+    );
+}
+
+/// Runs `config` on `scenario` at 1, 2 and 4 repair threads, asserts the
+/// three reports render byte-identically, and returns the counters.
+fn run_at_thread_counts(
+    label: &str,
+    scenario: &SimScenario,
+    config: &wsp_sim::SimConfig,
+) -> wsp_sim::SimCounters {
+    let mut renderings = Vec::new();
+    let mut counters = wsp_sim::SimCounters::default();
+    for threads in [1usize, 2, 4] {
+        let mut config = config.clone();
+        config.repair.threads = Some(threads);
+        let mut sim = Simulation::from_cycles(&scenario.instance, scenario.cycles.clone(), config)
+            .expect("scenario simulates");
+        let report = sim.run().expect("runs to the tick budget");
+        renderings.push(report.to_json());
+        counters = report.counters;
+    }
+    assert!(
+        renderings.windows(2).all(|w| w[0] == w[1]),
+        "{label}: repair thread counts disagreed — determinism bug"
+    );
+    println!(
+        "{label}: {} completed, {} ticks elided, {} agents lost, {} tasks shed",
+        counters.completed, counters.ticks_elided, counters.agents_lost, counters.tasks_shed
+    );
+    counters
+}
+
+/// Nightly determinism guard at paper scale and on the ~11k-vertex floor:
+/// 4k-tick Static runs render byte-identical reports at 1, 2 and 4 repair
+/// threads. Run with `cargo test --release --test sim -- --ignored`.
+#[test]
+#[ignore = "nightly: 4k-tick paper and 11k runs at 1/2/4 repair threads"]
+fn nightly_paper_and_11k_reports_are_thread_count_independent() {
+    let paper = sim_scenario_paper(2_000);
+    run_at_thread_counts("sorting-center", &paper, &paper.config(4_000));
+    let scaled = sim_scenario_scaled(31, 320, 400, 5);
+    run_at_thread_counts("11k", &scaled, &scaled.config(4_000));
+}
+
+/// Nightly guard on the ≥100k-vertex floor, at one 2k-tick budget per
+/// run. Lifelong auction matching must complete ≥100× the static
+/// design's tasks and elide its quiet stretches; under a fixed fault
+/// schedule (~10% of the fleet permanently broken down, a station dark
+/// for 500 ticks, a corridor closed for 400) the auction must keep ≥80%
+/// of its fault-free completions. Every run, the ×10-stall reruns of
+/// both policies included, renders byte-identical reports at 1, 2 and 4
+/// repair threads. Run with `cargo test --release --test sim -- --ignored`.
+#[test]
+#[ignore = "nightly: five 2k-tick runs on the 105k-vertex floor at 1/2/4 repair threads"]
+fn nightly_105k_auction_and_fault_gates() {
+    let scenario = sim_scenario_scaled(101, 1000, 2000, 3);
+    assert!(
+        scenario.instance.warehouse.graph().vertex_count() > 100_000,
+        "scenario must stay on the 105k-vertex floor"
+    );
+    let run = |label: &str, policy, stalls10x: bool, faults| {
+        let mut config = scenario.config(2_000);
+        if stalls10x {
+            // Stall mean gap 64 → 6: agents keep getting knocked awake.
+            config.deviations = wsp_sim::DeviationConfig::stalls(6, 2, 8, 9);
+        }
+        config.assign.policy = policy;
+        config.faults = faults;
+        run_at_thread_counts(&format!("105k {label}"), &scenario, &config)
+    };
+    let fault_free = wsp_sim::FaultConfig::none();
+    let statik = run("static", wsp_sim::AssignPolicy::Static, false, fault_free);
+    run(
+        "static-stalls10x",
+        wsp_sim::AssignPolicy::Static,
+        true,
+        fault_free,
+    );
+    let auction = run("auction", wsp_sim::AssignPolicy::Auction, false, fault_free);
+    run(
+        "auction-stalls10x",
+        wsp_sim::AssignPolicy::Auction,
+        true,
+        fault_free,
+    );
+    let faulted = run(
+        "faults",
+        wsp_sim::AssignPolicy::Auction,
+        false,
+        wsp_sim::FaultConfig {
+            breakdown_gap: 12,
+            permanent_permille: 1000,
+            outage_gap: 1000,
+            outage_min_ticks: 500,
+            outage_max_ticks: 500,
+            closure_gap: 1000,
+            closure_min_ticks: 400,
+            closure_max_ticks: 400,
+            closure_len: 4,
+            seed: 0xfa17,
+            ..wsp_sim::FaultConfig::none()
+        },
+    );
+
+    // The static cycle design completes a handful of tasks per 2k ticks
+    // on this floor; lifelong matching must beat it by two orders of
+    // magnitude.
+    let static_completed = statik.completed.max(1);
+    assert!(
+        auction.completed >= 100 * static_completed,
+        "auction throughput regression on the 105k floor: {} completed vs {static_completed} \
+         static (need >= 100x)",
+        auction.completed
+    );
+    // The auction's cost is O(dirty work), not O(ticks): zero elided ticks
+    // means the dirty-set skip or the idle sleep rule regressed and every
+    // tick pays for a full assignment pass again.
+    assert!(
+        auction.ticks_elided > 0,
+        "the 105k auction run elided no ticks — quiet stretches are being executed"
+    );
+    // Graceful degradation: shed tasks re-queue and the auction routes
+    // around the wreckage.
+    assert!(
+        faulted.agents_lost > 0 && faulted.tasks_shed > 0,
+        "the fault schedule injected no breakdowns ({} lost, {} shed)",
+        faulted.agents_lost,
+        faulted.tasks_shed
+    );
+    assert!(
+        faulted.completed * 5 >= auction.completed * 4,
+        "fault-injection throughput collapse: {} completed under faults vs {} fault-free \
+         (need >= 80%)",
+        faulted.completed,
+        auction.completed
     );
 }
 
