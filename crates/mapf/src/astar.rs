@@ -400,19 +400,22 @@ impl SpaceTimeAstar {
         ));
         seq += 1;
 
-        while !open.is_empty() {
-            let f_min = open.first().expect("non-empty").0;
+        while let Some(&(f_min, ..)) = open.first() {
             // Focal selection: among f <= w * f_min, minimize conflicts.
-            let bound = if self.focal_weight > 1.0 {
-                (self.focal_weight * f_min as f64).floor() as usize
+            // Without a focal band (w <= 1) that band is exactly the f_min
+            // entries, ordered by conflicts next, so the choice is the
+            // set's first element and needs no scan.
+            let chosen = if self.focal_weight > 1.0 {
+                let bound = (self.focal_weight * f_min as f64).floor() as usize;
+                let chosen = *open
+                    .range(..=(bound, usize::MAX, u64::MAX, VertexId(u32::MAX), usize::MAX))
+                    .min_by_key(|&&(f, c, _, _, _)| (c, f))
+                    .expect("range contains at least the f_min node");
+                open.remove(&chosen);
+                chosen
             } else {
-                f_min
+                open.pop_first().expect("non-empty")
             };
-            let chosen = *open
-                .range(..=(bound, usize::MAX, u64::MAX, VertexId(u32::MAX), usize::MAX))
-                .min_by_key(|&&(f, c, _, _, _)| (c, f))
-                .expect("range contains at least the f_min node");
-            open.remove(&chosen);
             let (_, conflicts, _, v, t) = chosen;
             let layer = layers.layer(t);
             let slot = layer.entry(v.0);

@@ -81,7 +81,7 @@ use std::collections::VecDeque;
 
 use wsp_core::{Pipeline, PipelineError, PipelineOptions, WspInstance};
 use wsp_flow::AgentCycleSet;
-use wsp_mapf::ReservationTable;
+use wsp_mapf::{ReservationTable, SearchScratch};
 use wsp_model::{AgentState, Carry, Coord, LocationMatrix, Plan, ProductId, VertexId, NO_INDEX};
 use wsp_realize::AgentSnapshot;
 
@@ -94,7 +94,7 @@ use crate::deviation::{
 };
 use crate::event::{self, SleepBook, SleepMode};
 use crate::queue::BucketQueue;
-use crate::repair::{accept_repairs, plan_repairs, RepairPath, RepairRequest};
+use crate::repair::{accept_repairs, plan_repairs, RepairPath, RepairRequest, RepairWork};
 use crate::report::{Fnv, SimCounters, SimReport};
 use crate::stream::{StreamConfig, TaskStream};
 
@@ -381,11 +381,15 @@ pub struct Simulation<'a> {
     // Repair scratch. The reservation table is held for the simulation's
     // lifetime and cleared per repair event via its touched-list
     // `reset`, so a repair costs O(reservations projected), never the
-    // O(vertices) re-init a fresh table would pay.
+    // O(vertices) re-init a fresh table would pay. The search scratches
+    // (one per repair worker, grown on first use) are kept the same way:
+    // each search starts from clean tables, so reuse changes no answer.
     requests: Vec<RepairRequest>,
     is_candidate: Vec<bool>,
     projection: Vec<VertexId>,
     repair_table: ReservationTable,
+    repair_scratch: Vec<SearchScratch>,
+    repair_work: RepairWork,
 
     // Event scheduler: the sleep ledger, the tick-keyed event queue, the
     // active set rebuilt each executed tick, and the current window's
@@ -549,6 +553,8 @@ impl<'a> Simulation<'a> {
             is_candidate: vec![false; agents],
             projection: Vec::with_capacity(config.repair.lookahead + 1),
             repair_table: ReservationTable::new(n_vertices),
+            repair_scratch: Vec::new(),
+            repair_work: RepairWork::default(),
             sleep: SleepBook::new(agents),
             queue: BucketQueue::new(window_len),
             active: Vec::with_capacity(agents),
@@ -634,6 +640,13 @@ impl<'a> Simulation<'a> {
         self.dispatch
             .auction()
             .map_or_else(RouteWork::default, |a| a.work)
+    }
+
+    /// Deterministic work counters of the catch-up repair searches:
+    /// `searches + pruned` equals `repairs_attempted`. Never rendered in
+    /// reports; identical at every repair thread count.
+    pub fn repair_work(&self) -> RepairWork {
+        self.repair_work
     }
 
     /// Test hook: force the assignment pass to run on every executed
@@ -2465,8 +2478,17 @@ impl<'a> Simulation<'a> {
         }
 
         let threads = wsp_core::resolve_threads(cfg.threads);
-        let found = plan_repairs(graph, &table, &self.requests, threads);
+        if self.repair_scratch.len() < threads {
+            self.repair_scratch.resize_with(threads, SearchScratch::new);
+        }
+        let (found, work) = plan_repairs(
+            graph,
+            &table,
+            &self.requests,
+            &mut self.repair_scratch[..threads],
+        );
         self.repair_table = table;
+        self.repair_work.add(work);
         for (agent, path) in accept_repairs(&self.requests, found) {
             self.repair[agent] = Some(path);
             self.counters.repairs_applied += 1;

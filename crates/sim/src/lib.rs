@@ -72,6 +72,7 @@ pub use deviation::{
 };
 pub use engine::{RepairConfig, SimConfig, SimEngine, SimError, Simulation};
 pub use queue::BucketQueue;
+pub use repair::RepairWork;
 pub use report::{SimCounters, SimReport, LATENCY_BUCKETS};
 pub use stream::{StreamConfig, Task, TaskStream};
 
@@ -85,6 +86,7 @@ const _: () = {
     assert_send_sync::<AssignConfig>();
     assert_send_sync::<AssignPolicy>();
     assert_send_sync::<RouteWork>();
+    assert_send_sync::<RepairWork>();
     assert_send_sync::<SimConfig>();
     assert_send_sync::<FaultConfig>();
     assert_send_sync::<SimEngine>();

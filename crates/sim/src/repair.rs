@@ -9,9 +9,14 @@
 //! against the shared read-only table with per-worker
 //! [`SearchScratch`] tables, and write results into request-indexed
 //! slots — so the outcome is a pure function of the requests at every
-//! thread count. Acceptance then runs sequentially in agent order,
-//! cross-checking accepted paths pairwise (candidates are not in the
-//! shared table), which keeps the applied set order-independent too.
+//! thread count. The simulation keeps one scratch per worker for its
+//! lifetime: every search starts from clean tables whatever ran before,
+//! so a kept scratch answers exactly as a fresh one would. Requests whose
+//! rejoin cell is reserved at the deadline are refused before any search
+//! (see [`RepairWork::pruned`]). Acceptance then runs sequentially in
+//! agent order, cross-checking accepted paths pairwise (candidates are
+//! not in the shared table), which keeps the applied set
+//! order-independent too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,58 +50,92 @@ pub(crate) struct RepairPath {
     pub rejoin_cursor: usize,
 }
 
+/// Deterministic work counters of catch-up repair, read through
+/// [`Simulation::repair_work`](crate::Simulation::repair_work). Every
+/// attempted request is either searched or pruned, so `searches + pruned`
+/// equals `SimCounters::repairs_attempted`. They are a pure function of
+/// the requests, so they repeat exactly at any repair thread count, and
+/// they are never rendered in [`SimReport::to_json`](crate::SimReport::to_json).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairWork {
+    /// Requests that ran a space-time A* search.
+    pub searches: u64,
+    /// Requests refused without a search: their rejoin cell is reserved
+    /// at the deadline, so no path could be padded to it.
+    pub pruned: u64,
+}
+
+impl RepairWork {
+    pub(crate) fn add(&mut self, other: RepairWork) {
+        self.searches += other.searches;
+        self.pruned += other.pruned;
+    }
+}
+
 /// Plans every request against the shared reservation table on up to
-/// `threads` scoped workers and returns accepted, padded paths in
-/// request-indexed slots (`None` = no path within the deadline).
+/// `scratches.len()` scoped workers, one kept search scratch each, and
+/// returns accepted, padded paths in request-indexed slots (`None` = no
+/// path within the deadline) with the work it took.
 pub(crate) fn plan_repairs(
     graph: &FloorplanGraph,
     table: &ReservationTable,
     requests: &[RepairRequest],
-    threads: usize,
-) -> Vec<Option<Vec<VertexId>>> {
+    scratches: &mut [SearchScratch],
+) -> (Vec<Option<Vec<VertexId>>>, RepairWork) {
     let n = requests.len();
     let mut slots: Vec<Option<Vec<VertexId>>> = Vec::new();
     slots.resize_with(n, || None);
+    let mut work = RepairWork::default();
     if n == 0 {
-        return slots;
+        return (slots, work);
     }
     // Deadline-capped searches are microseconds of work; below a handful
     // of requests the thread spawn/join overhead dwarfs them, so small
     // batches run inline. Results are slot-indexed either way, so the
     // outcome is byte-identical at any width.
-    let threads = if n <= 4 { 1 } else { threads.clamp(1, n) };
+    let threads = if n <= 4 {
+        1
+    } else {
+        scratches.len().clamp(1, n)
+    };
     let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut scratch = SearchScratch::new();
+    let worker = |scratch: &mut SearchScratch| {
+        let mut work = RepairWork::default();
         let mut produced: Vec<(usize, Option<Vec<VertexId>>)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            produced.push((i, plan_one(graph, table, &requests[i], &mut scratch)));
+            let found = plan_one(graph, table, &requests[i], scratch, &mut work);
+            produced.push((i, found));
         }
-        produced
+        (produced, work)
     };
 
     if threads == 1 {
-        for (i, found) in worker() {
+        let (produced, done) = worker(&mut scratches[0]);
+        for (i, found) in produced {
             slots[i] = found;
         }
-        return slots;
+        work.add(done);
+        return (slots, work);
     }
+    let worker = &worker;
     std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            workers.push(scope.spawn(worker));
-        }
+        let workers: Vec<_> = scratches[..threads]
+            .iter_mut()
+            .map(|scratch| scope.spawn(move || worker(scratch)))
+            .collect();
         for handle in workers {
-            for (i, found) in handle.join().expect("repair worker panicked") {
+            let (produced, done) = handle.join().expect("repair worker panicked");
+            for (i, found) in produced {
                 slots[i] = found;
             }
+            work.add(done);
         }
     });
-    slots
+    (slots, work)
 }
 
 /// One catch-up search: deadline-capped space-time A* to the rejoin cell,
@@ -107,7 +146,16 @@ fn plan_one(
     table: &ReservationTable,
     r: &RepairRequest,
     scratch: &mut SearchScratch,
+    work: &mut RepairWork,
 ) -> Option<Vec<VertexId>> {
+    // The padding check below scans `path.len() - 1..=deadline`, which
+    // contains `deadline` for every path short enough to keep: a rejoin
+    // cell reserved at the deadline refuses every path, so skip the search.
+    if !table.vertex_free(r.goal, r.deadline) {
+        work.pruned += 1;
+        return None;
+    }
+    work.searches += 1;
     // A path longer than the deadline is rejected anyway, so cap the
     // search horizon at the deadline instead of wasting expansions on
     // unacceptable paths.
@@ -201,6 +249,10 @@ mod tests {
         g.vertex_at((x, y).into()).unwrap()
     }
 
+    fn scratches(threads: usize) -> Vec<SearchScratch> {
+        (0..threads).map(|_| SearchScratch::new()).collect()
+    }
+
     #[test]
     fn repairs_pad_to_the_deadline_and_slot_by_request() {
         let g = graph(".....\n.....");
@@ -224,7 +276,8 @@ mod tests {
             },
         ];
         for threads in [1usize, 2, 4] {
-            let found = plan_repairs(&g, &table, &requests, threads);
+            let (found, work) = plan_repairs(&g, &table, &requests, &mut scratches(threads));
+            assert_eq!((work.searches, work.pruned), (2, 0));
             assert_eq!(found.len(), 2);
             let path = found[0].as_ref().expect("reachable");
             assert_eq!(path.len(), 6);
@@ -287,8 +340,45 @@ mod tests {
                 lag: 0,
             },
         ];
-        let found = plan_repairs(&g, &ReservationTable::new(g.vertex_count()), &requests, 2);
+        let table = ReservationTable::new(g.vertex_count());
+        let (found, _) = plan_repairs(&g, &table, &requests, &mut scratches(2));
         let accepted = accept_repairs(&requests, found);
         assert_eq!(accepted.len(), 2);
+    }
+
+    #[test]
+    fn goal_reserved_at_the_deadline_is_pruned_without_a_search() {
+        let g = graph(".....\n.....");
+        let (start, goal) = (v(&g, 0, 0), v(&g, 2, 0));
+        let request = RepairRequest {
+            agent: 0,
+            start,
+            goal,
+            deadline: 4,
+            rejoin_cursor: 4,
+            lag: 0,
+        };
+        let cells = |xy: &[(u32, u32)]| xy.iter().map(|&(x, y)| v(&g, x, y)).collect::<Vec<_>>();
+        // Another agent passes through the goal, standing on it exactly at
+        // the deadline and leaving the tick after.
+        let mut table = ReservationTable::new(g.vertex_count());
+        let through = [(4, 0), (4, 0), (4, 0), (3, 0), (2, 0), (2, 1), (3, 1)];
+        table.reserve_path(&cells(&through));
+        assert!(!table.vertex_free(goal, 4) && table.vertex_free(goal, 3));
+        let mut work = RepairWork::default();
+        let found = plan_one(&g, &table, &request, &mut SearchScratch::new(), &mut work);
+        assert!(found.is_none());
+        assert_eq!((work.searches, work.pruned), (0, 1));
+
+        // Reserved only before the deadline: still searched, and the
+        // padded path waits on the goal once the other agent has left.
+        let mut table = ReservationTable::new(g.vertex_count());
+        table.reserve_path(&cells(&[(3, 0), (2, 0), (2, 1), (3, 1), (4, 1)]));
+        assert!(!table.vertex_free(goal, 1) && table.vertex_free(goal, 4));
+        let mut work = RepairWork::default();
+        let path = plan_one(&g, &table, &request, &mut SearchScratch::new(), &mut work)
+            .expect("goal is free from t=2 on");
+        assert_eq!((work.searches, work.pruned), (1, 0));
+        assert_eq!((path[0], path[4]), (start, goal));
     }
 }

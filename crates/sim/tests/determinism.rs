@@ -77,7 +77,9 @@ proptest! {
 
 /// One fixed configuration pinned across thread counts *and* repeated
 /// runs, with enough deviation pressure that repairs genuinely fire (a
-/// thread-count bug cannot hide behind an idle repair stage).
+/// thread-count bug cannot hide behind an idle repair stage). The repair
+/// work counters, which reports do not render, must repeat too, and
+/// account for every attempted repair.
 #[test]
 fn fixed_scenario_is_thread_count_independent_and_repeatable() {
     let instance = small_instance();
@@ -86,15 +88,27 @@ fn fixed_scenario_is_thread_count_independent_and_repeatable() {
         let cfg = config(7, 13, 2, 48, threads);
         let mut sim = Simulation::new(&instance, &options, cfg).unwrap();
         let report = sim.run().unwrap();
-        (report.to_json(), report)
+        (report.to_json(), sim.repair_work(), report)
     };
-    let (one, report) = run(1);
-    let (one_again, _) = run(1);
-    let (two, _) = run(2);
-    let (four, _) = run(4);
+    let (one, work, report) = run(1);
+    let (one_again, work_again, _) = run(1);
+    let (two, work_two, _) = run(2);
+    let (four, work_four, _) = run(4);
     assert_eq!(one, one_again, "same-config rerun diverged");
     assert_eq!(one, two);
     assert_eq!(one, four);
+    assert_eq!(work, work_again);
+    assert_eq!(work, work_two);
+    assert_eq!(work, work_four);
+    assert_eq!(
+        work.searches + work.pruned,
+        report.counters.repairs_attempted,
+        "every attempted repair is searched or pruned"
+    );
+    assert!(
+        work.searches > 0 && work.pruned > 0,
+        "both repair outcomes must be exercised: {work:?}"
+    );
     assert!(report.counters.stalls_injected > 0);
     assert!(report.counters.replans > 1);
     assert!(

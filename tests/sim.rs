@@ -251,9 +251,12 @@ fn nightly_paper_and_11k_reports_are_thread_count_independent() {
 /// Nightly guard on the ≥100k-vertex floor, at one 2k-tick budget per
 /// run. Lifelong auction matching must complete ≥100× the static
 /// design's tasks and elide its quiet stretches; under a fixed fault
-/// schedule (~10% of the fleet permanently broken down, a station dark
-/// for 500 ticks, a corridor closed for 400) the auction must keep ≥80%
-/// of its fault-free completions. Every run, the ×10-stall reruns of
+/// schedule (~10% of the fleet permanently broken down, 500-tick station
+/// outages from t=271 on, corridors closed for 400 ticks) the auction
+/// must keep ≥80% of its fault-free completions. The stream's 401 tasks
+/// arrive by ~t=800, so the outages are timed to start while orders
+/// still arrive: an outage that fires after the last delivery costs no
+/// completion and gates nothing. Every run, the ×10-stall reruns of
 /// both policies included, renders byte-identical reports at 1, 2 and 4
 /// repair threads. Run with `cargo test --release --test sim -- --ignored`.
 #[test]
@@ -296,7 +299,7 @@ fn nightly_105k_auction_and_fault_gates() {
         wsp_sim::FaultConfig {
             breakdown_gap: 12,
             permanent_permille: 1000,
-            outage_gap: 1000,
+            outage_gap: 300,
             outage_min_ticks: 500,
             outage_max_ticks: 500,
             closure_gap: 1000,
